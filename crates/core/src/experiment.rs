@@ -215,13 +215,7 @@ pub fn run_grid_parallel_jobs(
     if configs.is_empty() {
         return Ok(spec.grid(Vec::new()));
     }
-    let workers = match jobs {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4),
-        n => n,
-    }
-    .min(configs.len());
+    let workers = worker_count(jobs).min(configs.len());
     let chunk = configs.len().div_ceil(workers);
     let mut slots: Vec<Option<Result<GridCell, CoreError>>> = Vec::new();
     slots.resize_with(configs.len(), || None);
@@ -239,6 +233,17 @@ pub fn run_grid_parallel_jobs(
         cells.push(slot.expect("scoped worker fills its slots")?);
     }
     Ok(spec.grid(cells))
+}
+
+/// The workers a `jobs` knob asks for: `jobs` itself, or one per
+/// available core when it is 0 (automatic).
+pub fn worker_count(jobs: usize) -> usize {
+    match jobs {
+        0 => std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4),
+        n => n,
+    }
 }
 
 /// Render the grid in the layout of the paper's Tables 2/3:

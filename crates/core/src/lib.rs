@@ -87,7 +87,7 @@ pub use engine::{
 };
 pub use experiment::{
     format_paper_table, run_grid, run_grid_cached, run_grid_parallel, run_grid_parallel_cached,
-    run_grid_parallel_jobs, ExperimentGrid, GridCell, GridSpec,
+    run_grid_parallel_jobs, worker_count, ExperimentGrid, GridCell, GridSpec,
 };
 pub use flow::{run_flow, run_flow_cached, run_flow_with, FlowOutcome};
 pub use metrics::MetricsRegistry;

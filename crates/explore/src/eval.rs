@@ -11,26 +11,30 @@
 //! [`ObjectiveSet`] includes runtime objectives, each design point
 //! additionally runs one seeded workload simulation through the
 //! attached [`RuntimeEvaluator`] — memoised per point, so revisits are
-//! free there too. Counters expose the true effort (`engine_runs`,
-//! `points_evaluated`, `cell_hits`, `sim_runs`) for strategy
-//! comparisons and the committed `BENCH_explore*.json` baselines.
+//! free there too, and scored up front on parallel workers when a
+//! search visits the whole space. Counters expose the true effort
+//! (`engine_runs`, `points_evaluated`, `cell_hits`, `sim_runs`) for
+//! strategy comparisons and the committed `BENCH_explore*.json`
+//! baselines.
 
 use crate::contention::{ContentionMetrics, RuntimeEvaluator};
 use crate::objective::{Objective, ObjectiveSet, Objectives};
 use crate::space::{DesignSpace, PointIdx};
 use amdrel_cdfg::Cdfg;
 use amdrel_core::{
-    run_grid_parallel_jobs, BlockEnergyCosts, Breakdown, CacheStats, CoreError, EnergyBreakdown,
-    EnergyModel, GridSpec, MappingCache, PartitionResult, PartitioningEngine, Platform,
+    run_grid_parallel_jobs, worker_count, BlockEnergyCosts, Breakdown, CacheStats, CoreError,
+    EnergyBreakdown, EnergyModel, GridSpec, MappingCache, PartitionResult, PartitioningEngine,
+    Platform,
 };
 use amdrel_finegrain::CdfgFineGrainMapping;
 use amdrel_floorplan::{FabricGrid, Floorplanner, Footprint, FragmentationStats};
 use amdrel_profiler::AnalysisReport;
+use amdrel_runtime::AppProfile;
 use amdrel_trace::TraceSink;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A timing constraint no real application meets (1 FPGA cycle), forcing
 /// the engine to drain the entire kernel queue and hand back the full
@@ -133,8 +137,8 @@ struct Cell {
 /// Memoising design-point evaluator over one analysed application.
 ///
 /// Thread-safe (`&self` everywhere, interior mutex/atomics), so the
-/// exhaustive strategy can fill cells from parallel grid workers while
-/// sequential strategies share the same instance.
+/// exhaustive strategy can fill cells and contention scores from
+/// parallel workers while sequential strategies share the same instance.
 ///
 /// By default points are priced on the static objective triple
 /// `(cycles, area, energy)`. [`Self::with_objectives`] selects a
@@ -346,33 +350,67 @@ impl<'a> Evaluator<'a> {
         moved: usize,
         cell: &Cell,
     ) -> ContentionMetrics {
-        let runtime = self.runtime.expect(
-            "runtime objectives (p95/throughput) need a RuntimeEvaluator \
-             (Evaluator::with_runtime)",
-        );
+        let runtime = self.runtime();
         let key = (p.area, p.datapath, moved);
         let mut sims = self.sims.lock().expect("sim cache lock poisoned");
         if let Some(metrics) = sims.get(&key) {
             return *metrics;
         }
         self.sim_runs.fetch_add(1, Ordering::Relaxed);
+        let metrics = self.score(runtime, space, key, cell);
+        sims.insert(key, metrics);
+        metrics
+    }
+
+    /// The attached contention scorer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if none was attached ([`Self::with_runtime`]).
+    fn runtime(&self) -> &'a RuntimeEvaluator {
+        self.runtime.expect(
+            "runtime objectives (p95/throughput) need a RuntimeEvaluator \
+             (Evaluator::with_runtime)",
+        )
+    }
+
+    /// Simulate the contention key `(area, datapath, moved)` — the one
+    /// scoring function behind both the on-demand path and
+    /// [`Self::prefill_contention`].
+    fn score(
+        &self,
+        runtime: &RuntimeEvaluator,
+        space: &DesignSpace,
+        (a_idx, d_idx, moved): (usize, usize, usize),
+        cell: &Cell,
+    ) -> ContentionMetrics {
+        let candidate = self.candidate(runtime, cell, moved);
+        runtime.score(&candidate, &self.platform_for(space, a_idx, d_idx))
+    }
+
+    /// The candidate profile of a cell after `moved` kernel moves: the
+    /// move's phase split plus the areas of the partitions left on the
+    /// fine-grain fabric.
+    fn candidate(&self, runtime: &RuntimeEvaluator, cell: &Cell, moved: usize) -> AppProfile {
         let breakdown = &cell.breakdowns[moved];
-        let mut on_fpga = vec![true; self.cdfg.len()];
-        for &k in &cell.moved[..moved] {
-            on_fpga[k] = false;
-        }
-        let areas = cell.fine.partition_areas(|i| on_fpga[i]);
-        let candidate = runtime.candidate_profile(
+        let on_fpga = self.on_fpga(cell, moved);
+        runtime.candidate_profile(
             self.app,
             breakdown.t_fpga,
             breakdown.t_coarse,
             breakdown.t_comm,
-            areas,
-        );
-        let platform = self.platform_for(space, p.area, p.datapath);
-        let metrics = runtime.score(&candidate, &platform);
-        sims.insert(key, metrics);
-        metrics
+            cell.fine.partition_areas(|i| on_fpga[i]),
+        )
+    }
+
+    /// Which blocks stay on the fine-grain fabric after the cell's first
+    /// `moved` kernel moves.
+    fn on_fpga(&self, cell: &Cell, moved: usize) -> Vec<bool> {
+        let mut on_fpga = vec![true; self.cdfg.len()];
+        for &k in &cell.moved[..moved] {
+            on_fpga[k] = false;
+        }
+        on_fpga
     }
 
     /// Re-run one design point's contention simulation with a
@@ -402,20 +440,7 @@ impl<'a> Evaluator<'a> {
              (Evaluator::with_runtime)",
         );
         let cell = self.cell(space, p.area, p.datapath)?;
-        let moved = p.budget.min(cell.budgets.len() - 1);
-        let breakdown = &cell.breakdowns[moved];
-        let mut on_fpga = vec![true; self.cdfg.len()];
-        for &k in &cell.moved[..moved] {
-            on_fpga[k] = false;
-        }
-        let areas = cell.fine.partition_areas(|i| on_fpga[i]);
-        let candidate = runtime.candidate_profile(
-            self.app,
-            breakdown.t_fpga,
-            breakdown.t_coarse,
-            breakdown.t_comm,
-            areas,
-        );
+        let candidate = self.candidate(runtime, &cell, p.budget.min(cell.budgets.len() - 1));
         let platform = self.platform_for(space, p.area, p.datapath);
         runtime.trace_candidate(&candidate, &platform, sink);
         Ok(())
@@ -432,10 +457,7 @@ impl<'a> Evaluator<'a> {
         moved: usize,
         cell: &Cell,
     ) -> FragmentationStats {
-        let mut on_fpga = vec![true; self.cdfg.len()];
-        for &k in &cell.moved[..moved] {
-            on_fpga[k] = false;
-        }
+        let on_fpga = self.on_fpga(cell, moved);
         let footprints: Vec<Footprint> = cell
             .fine
             .partition_footprints(|i| on_fpga[i])
@@ -456,9 +478,8 @@ impl<'a> Evaluator<'a> {
     /// used when the cell map is cold (the common exhaustive case), and a
     /// partially warm evaluator falls back to filling only the missing
     /// cells, so `engine_runs` counts every engine run exactly once.
-    /// Workload simulations are *not* prefilled — they run (memoised) as
-    /// points are evaluated, on the calling thread, so contention scores
-    /// are identical at every `jobs` setting.
+    /// Workload simulations are left to [`Self::prefill_contention`],
+    /// which scores them on the same `jobs` threads once the cells exist.
     ///
     /// # Errors
     ///
@@ -510,6 +531,65 @@ impl<'a> Evaluator<'a> {
             self.engine_runs.fetch_add(1, Ordering::Relaxed);
             let cell = self.cell_from_result(space, a_idx, d_idx, &grid_cell.result)?;
             cells.insert((a_idx, d_idx), Arc::new(cell));
+        }
+        Ok(())
+    }
+
+    /// Score every contention key `(area, datapath, moved)` of `space`
+    /// that is not memoised yet, each once, on up to `jobs` scoped
+    /// threads (0 = automatic, see [`worker_count`]) — the exhaustive
+    /// strategy's fast path for runtime objectives. Scores go through the
+    /// same function as on-demand scoring and are memoised in flat order,
+    /// so metrics and `sim_runs` are identical at every `jobs` setting.
+    /// Missing cells are computed first, as [`Self::evaluate`] would. No
+    /// point is evaluated and no cell hit is counted. A no-op under purely
+    /// static objective sets.
+    ///
+    /// # Errors
+    ///
+    /// Mapping failures from computing a missing cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the objective set includes a runtime objective but no
+    /// [`RuntimeEvaluator`] was attached ([`Self::with_runtime`]).
+    pub fn prefill_contention(&self, space: &DesignSpace, jobs: usize) -> Result<(), CoreError> {
+        if !self.objectives.needs_runtime() {
+            return Ok(());
+        }
+        let runtime = self.runtime();
+        let mut todo = Vec::new();
+        for a_idx in 0..space.areas.len() {
+            for d_idx in 0..space.datapaths.len() {
+                // Read warm cells directly: prefilling is bookkeeping, not
+                // a point evaluation, so it must not count cell hits.
+                let warm = self
+                    .cells
+                    .lock()
+                    .expect("cell cache lock poisoned")
+                    .get(&(a_idx, d_idx))
+                    .cloned();
+                let cell = match warm {
+                    Some(cell) => cell,
+                    None => self.cell(space, a_idx, d_idx)?,
+                };
+                let sims = self.sims.lock().expect("sim cache lock poisoned");
+                for moved in 0..=space.max_kernel_budget.min(cell.budgets.len() - 1) {
+                    let key = (a_idx, d_idx, moved);
+                    if !sims.contains_key(&key) {
+                        todo.push((key, Arc::clone(&cell)));
+                    }
+                }
+            }
+        }
+        let scores = map_parallel(&todo, jobs, |(key, cell)| {
+            self.score(runtime, space, *key, cell)
+        });
+        self.sim_runs
+            .fetch_add(todo.len() as u64, Ordering::Relaxed);
+        let mut sims = self.sims.lock().expect("sim cache lock poisoned");
+        for ((key, _), metrics) in todo.iter().zip(scores) {
+            sims.entry(*key).or_insert(metrics);
         }
         Ok(())
     }
@@ -585,4 +665,34 @@ impl<'a> Evaluator<'a> {
         platform.datapath = space.datapaths[d_idx].clone();
         platform
     }
+}
+
+/// `f` over `items` on up to `jobs` scoped threads (0 = automatic), in
+/// item order. Workers claim the next unclaimed item, so uneven item
+/// costs balance; each result lands in its item's slot, so the output
+/// does not depend on which thread ran what.
+fn map_parallel<T: Sync, R: Send + Sync>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = worker_count(jobs).min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let _ = slots[i].set(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every item is claimed once"))
+        .collect()
 }

@@ -481,6 +481,53 @@ mod tests {
         assert_ne!(other.contention, first.contention);
     }
 
+    /// Prefilled scores are the on-demand ones: scoring every point in
+    /// parallel up front prices each point exactly as evaluating it cold,
+    /// with one simulation per distinct contention key and no cell hits.
+    #[test]
+    fn prefilled_contention_matches_on_demand_scoring() {
+        use amdrel_runtime::{AppProfile, Fcfs};
+        let (c, a) = toy();
+        let base = Platform::paper(1500, 2);
+        let contention = RuntimeEvaluator::new(
+            vec![AppProfile::synthetic("bg", 0, 9_000, 2_500, vec![600])],
+            Box::new(Fcfs),
+        )
+        .with_seed(11)
+        .with_njobs(48)
+        .with_load(125);
+        let space = toy_space();
+        let (cold_cache, warm_cache) = (MappingCache::new(), MappingCache::new());
+        let evaluator = |cache| {
+            Evaluator::new("toy", &c.cdfg, &a, &base, EnergyModel::default(), cache)
+                .with_objectives(ObjectiveSet::parse("cycles,area,energy,p95").unwrap())
+                .with_runtime(&contention)
+        };
+        let (cold, warm) = (evaluator(&cold_cache), evaluator(&warm_cache));
+        warm.prefill_cells(&space, 2).unwrap();
+        warm.prefill_contention(&space, 2).unwrap();
+        let prefilled = warm.stats();
+        assert_eq!(prefilled.points_evaluated + prefilled.cell_hits, 0);
+        for flat in 0..space.len() {
+            let p = space.point(flat);
+            assert_eq!(
+                warm.evaluate(&space, p).unwrap(),
+                cold.evaluate(&space, p).unwrap()
+            );
+        }
+        let (warm, cold) = (warm.stats(), cold.stats());
+        assert_eq!(
+            (warm.points_evaluated, warm.engine_runs, warm.sim_runs),
+            (cold.points_evaluated, cold.engine_runs, cold.sim_runs)
+        );
+        assert_eq!(prefilled.sim_runs, cold.sim_runs);
+        // The cold evaluator misses once per cell; the warm one only hits.
+        assert_eq!(warm.cell_hits, cold.cell_hits + cold.engine_runs);
+        // Budgets past the kernel count share one key, so fewer
+        // simulations than points.
+        assert!(cold.sim_runs < space.len() as u64);
+    }
+
     #[test]
     #[should_panic(expected = "need a RuntimeEvaluator")]
     fn runtime_objectives_without_scorer_panic() {

@@ -26,9 +26,10 @@ pub struct ExploreConfig {
     /// Maximum number of design-point evaluations for sampling/annealing
     /// strategies ([`Exhaustive`] always evaluates the whole space).
     pub eval_budget: usize,
-    /// Worker threads for parallel cell evaluation (0 = automatic);
-    /// forwarded to [`amdrel_core::run_grid_parallel_jobs`]. Results are
-    /// identical at every setting.
+    /// Worker threads for [`Exhaustive`]'s parallel cell evaluation
+    /// ([`amdrel_core::run_grid_parallel_jobs`]) and contention scoring
+    /// ([`Evaluator::prefill_contention`]); 0 = automatic. Results and
+    /// effort counters are identical at every setting.
     pub jobs: usize,
 }
 
@@ -104,8 +105,11 @@ pub trait SearchStrategy {
 }
 
 /// Enumerate the entire space. Cells are computed by the parallel grid
-/// sweep ([`amdrel_core::run_grid_parallel_jobs`], honouring
-/// [`ExploreConfig::jobs`]); `eval_budget` and `seed` are ignored. The
+/// sweep ([`Evaluator::prefill_cells`]), then, under runtime objectives,
+/// every distinct contention key is scored once on the same threads
+/// ([`Evaluator::prefill_contention`]), both honouring
+/// [`ExploreConfig::jobs`]; the points are then priced in flat order from
+/// the memoised results. `eval_budget` and `seed` are ignored. The
 /// result is the exact Pareto frontier of the space — the reference the
 /// cheaper strategies are judged against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,6 +131,7 @@ impl SearchStrategy for Exhaustive {
             return Ok(());
         }
         eval.prefill_cells(space, config.jobs)?;
+        eval.prefill_contention(space, config.jobs)?;
         for flat in 0..space.len() {
             archive.insert(eval.evaluate(space, space.point(flat))?);
         }

@@ -250,44 +250,95 @@ fn space() -> DesignSpace {
     }
 }
 
+/// How the test evaluator prices points.
+#[derive(Debug, Clone, Copy)]
+enum Scorer {
+    /// The static `(cycles, area, energy)` triple.
+    Static,
+    /// `(cycles, area, energy, p95, throughput)` against a synthetic
+    /// background tenant.
+    Contention,
+    /// The benchmark's exploration scenario on the same tenant: 30‰
+    /// faults on every channel, a deadline of 20 mean inter-arrival gaps,
+    /// degradation and 4-region reconfiguration, priced on the
+    /// reliability objectives too.
+    Faulted,
+}
+
+impl Scorer {
+    fn objectives(self) -> Option<&'static str> {
+        match self {
+            Scorer::Static => None,
+            Scorer::Contention => Some("cycles,area,energy,p95,throughput"),
+            Scorer::Faulted => Some("cycles,area,energy,p95,p95_under_faults,degraded_share"),
+        }
+    }
+
+    fn runtime(self) -> amdrel_explore::RuntimeEvaluator {
+        use amdrel_runtime::{
+            AppProfile, FaultSpec, RecoveryPolicy, ShortestJobFirst, WorkloadSpec,
+        };
+        let background = vec![AppProfile::synthetic("bg", 0, 7_000, 1_500, vec![450])];
+        let arrival = WorkloadSpec::mean_interarrival_for(&background, 125);
+        let runtime = amdrel_explore::RuntimeEvaluator::new(background, Box::new(ShortestJobFirst))
+            .with_seed(99)
+            .with_njobs(40)
+            .with_load(125);
+        match self {
+            Scorer::Static | Scorer::Contention => runtime,
+            Scorer::Faulted => runtime
+                .with_arrival(arrival)
+                .with_faults(FaultSpec {
+                    deadline: std::num::NonZeroU64::new(20 * arrival),
+                    ..FaultSpec::uniform(99, 30)
+                })
+                .with_recovery(RecoveryPolicy {
+                    degrade: true,
+                    ..RecoveryPolicy::default()
+                })
+                .with_region_reconfig(4),
+        }
+    }
+}
+
 /// Run `strategy` on a fresh evaluator/cache and return the report.
-/// With `contention`, the evaluator scores `(cycles, area, energy, p95,
-/// throughput)` against a synthetic background tenant.
+/// With `warm`, a seeded random sample of 8 points first explores the
+/// same evaluator on one thread, leaving some cells and scores memoised.
+fn run_on(
+    strategy: &dyn SearchStrategy,
+    seed: u64,
+    jobs: usize,
+    scorer: Scorer,
+    warm: bool,
+) -> amdrel_explore::ExploreReport {
+    let (c, a) = toy();
+    let base = Platform::paper(1500, 2);
+    let cache = MappingCache::new();
+    let runtime = scorer.runtime();
+    let mut eval = Evaluator::new("toy", &c.cdfg, &a, &base, EnergyModel::default(), &cache);
+    if let Some(objectives) = scorer.objectives() {
+        eval = eval
+            .with_objectives(amdrel_explore::ObjectiveSet::parse(objectives).unwrap())
+            .with_runtime(&runtime);
+    }
+    let config = |jobs, eval_budget| ExploreConfig {
+        seed,
+        eval_budget,
+        jobs,
+    };
+    if warm {
+        explore(&eval, &space(), &RandomSampling, &config(1, 8)).unwrap();
+    }
+    explore(&eval, &space(), strategy, &config(jobs, 32)).unwrap()
+}
+
 fn run_once_with(
     strategy: &dyn SearchStrategy,
     seed: u64,
     jobs: usize,
-    contention: bool,
+    scorer: Scorer,
 ) -> amdrel_explore::ExploreReport {
-    use amdrel_explore::{ObjectiveSet, RuntimeEvaluator};
-    use amdrel_runtime::{AppProfile, ShortestJobFirst};
-    let (c, a) = toy();
-    let base = Platform::paper(1500, 2);
-    let cache = MappingCache::new();
-    let runtime = RuntimeEvaluator::new(
-        vec![AppProfile::synthetic("bg", 0, 7_000, 1_500, vec![450])],
-        Box::new(ShortestJobFirst),
-    )
-    .with_seed(99)
-    .with_njobs(40)
-    .with_load(125);
-    let mut eval = Evaluator::new("toy", &c.cdfg, &a, &base, EnergyModel::default(), &cache);
-    if contention {
-        eval = eval
-            .with_objectives(ObjectiveSet::parse("cycles,area,energy,p95,throughput").unwrap())
-            .with_runtime(&runtime);
-    }
-    explore(
-        &eval,
-        &space(),
-        strategy,
-        &ExploreConfig {
-            seed,
-            eval_budget: 32,
-            jobs,
-        },
-    )
-    .unwrap()
+    run_on(strategy, seed, jobs, scorer, false)
 }
 
 fn run_once(
@@ -295,32 +346,32 @@ fn run_once(
     seed: u64,
     jobs: usize,
 ) -> amdrel_explore::ExploreReport {
-    run_once_with(strategy, seed, jobs, false)
+    run_once_with(strategy, seed, jobs, Scorer::Static)
 }
 
-/// A fixed seed reproduces bit-identical frontiers across runs and across
-/// `jobs` settings, for every strategy — under the static triple and
-/// under the full 5-objective contention-aware vector.
+/// A fixed seed reproduces bit-identical frontiers and effort across runs
+/// and across `jobs` settings, for every strategy — under the static
+/// triple, the 5-objective contention-aware vector and the faulted
+/// 4-region scenario, on a cold evaluator and on one a previous search
+/// left partly warm.
 #[test]
 fn seeded_strategies_are_deterministic_across_runs_and_jobs() {
     let strategies: [&dyn SearchStrategy; 3] =
         [&Exhaustive, &RandomSampling, &SimulatedAnnealing::default()];
-    for contention in [false, true] {
-        for strategy in strategies {
-            let reference = run_once_with(strategy, 42, 1, contention);
-            for jobs in [0usize, 1, 4] {
-                for _ in 0..2 {
-                    let report = run_once_with(strategy, 42, jobs, contention);
-                    assert_eq!(
-                        report.frontier,
-                        reference.frontier,
-                        "strategy {} diverged at jobs={jobs} (contention={contention})",
-                        strategy.name()
-                    );
-                    assert_eq!(
-                        report.stats, reference.stats,
-                        "effort changed at jobs={jobs} (contention={contention})"
-                    );
+    for scorer in [Scorer::Static, Scorer::Contention, Scorer::Faulted] {
+        for warm in [false, true] {
+            for strategy in strategies {
+                let reference = run_on(strategy, 42, 1, scorer, warm);
+                for jobs in [0usize, 1, 2, 4] {
+                    for _ in 0..2 {
+                        let report = run_on(strategy, 42, jobs, scorer, warm);
+                        let at = format!(
+                            "strategy {} at jobs={jobs} ({scorer:?}, warm={warm})",
+                            strategy.name()
+                        );
+                        assert_eq!(report.frontier, reference.frontier, "{at}: frontier");
+                        assert_eq!(report.stats, reference.stats, "{at}: effort");
+                    }
                 }
             }
         }
@@ -369,8 +420,8 @@ fn sa_frontier_is_consistent_with_exhaustive() {
 /// wins — but no static trade-off is lost.)
 #[test]
 fn contention_frontier_contains_the_static_frontier() {
-    let static_report = run_once_with(&Exhaustive, 42, 0, false);
-    let contention_report = run_once_with(&Exhaustive, 42, 0, true);
+    let static_report = run_once_with(&Exhaustive, 42, 0, Scorer::Static);
+    let contention_report = run_once_with(&Exhaustive, 42, 0, Scorer::Contention);
     assert!(contention_report.frontier.len() >= static_report.frontier.len());
     for p in &static_report.frontier {
         assert!(

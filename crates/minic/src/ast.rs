@@ -394,7 +394,8 @@ pub struct GlobalArrayDef {
     pub name: String,
     /// Number of elements.
     pub len: usize,
-    /// Initial values (zero-padded to `len`; empty means all zeros).
+    /// The explicit initial values (at most `len`; elements past them
+    /// are zero, and empty means all zeros).
     pub init: Vec<i64>,
     /// Source location.
     pub span: Span,

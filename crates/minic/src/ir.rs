@@ -298,7 +298,8 @@ pub struct GlobalArray {
     pub len: usize,
     /// Element bitwidth.
     pub bits: u16,
-    /// Initial contents (length `len`, zero-padded).
+    /// The explicit initialiser values only (at most `len`; empty means
+    /// all zeros). Elements past them start at zero.
     pub init: Vec<i64>,
 }
 

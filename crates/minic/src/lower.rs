@@ -57,15 +57,11 @@ pub(crate) fn lower_functions(
     let globals: Vec<GlobalArray> = program
         .globals
         .iter()
-        .map(|g| {
-            let mut init = g.init.clone();
-            init.resize(g.len, 0);
-            GlobalArray {
-                name: g.name.clone(),
-                len: g.len,
-                bits: g.width.bits(),
-                init,
-            }
+        .map(|g| GlobalArray {
+            name: g.name.clone(),
+            len: g.len,
+            bits: g.width.bits(),
+            init: g.init.clone(),
         })
         .collect();
     let global_index: HashMap<&str, u32> = program
@@ -814,10 +810,13 @@ mod tests {
         assert!(matches!(instrs[1], HInstr::Real(Instr::Load { .. })));
     }
 
+    /// Lowering keeps only the explicit values; the interpreter zeroes
+    /// the rest when it allocates the array.
     #[test]
     fn global_initialiser_zero_padded() {
         let (globals, _) = lower_src("int a[5] = {1, 2}; int main() { return a[4]; }");
-        assert_eq!(globals[0].init, vec![1, 2, 0, 0, 0]);
+        assert_eq!(globals[0].init, vec![1, 2]);
+        assert_eq!(globals[0].len, 5);
     }
 
     #[test]

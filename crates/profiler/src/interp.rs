@@ -91,7 +91,18 @@ impl<'p> Interpreter<'p> {
     /// by zero, out-of-range shifts/indices, or step-budget exhaustion.
     pub fn run(&self, inputs: &[(&str, &[i64])]) -> Result<Execution, ProfileError> {
         let f = &self.ir.entry;
-        let mut globals: Vec<Vec<i64>> = self.ir.globals.iter().map(|g| g.init.clone()).collect();
+        // Zeroed allocations stay untouched until used, so a huge, sparsely
+        // accessed global costs only the pages the program reaches.
+        let mut globals: Vec<Vec<i64>> = self
+            .ir
+            .globals
+            .iter()
+            .map(|g| {
+                let mut data = vec![0; g.len];
+                data[..g.init.len()].copy_from_slice(&g.init);
+                data
+            })
+            .collect();
         for (name, data) in inputs {
             let gi = self
                 .ir
@@ -187,9 +198,10 @@ impl<'p> Interpreter<'p> {
             Instr::Load { dst, array, index } => {
                 let i = read(*index, vars);
                 let slice = array_slice(*array, globals, locals);
-                let name = self.array_name(*array);
-                let v = checked_index(slice, i, name)?;
-                vars[dst.index()] = v;
+                match usize::try_from(i).ok().and_then(|idx| slice.get(idx)) {
+                    Some(&v) => vars[dst.index()] = v,
+                    None => return Err(self.out_of_bounds(*array, i, slice.len())),
+                }
             }
             Instr::Store {
                 array,
@@ -198,19 +210,28 @@ impl<'p> Interpreter<'p> {
             } => {
                 let i = read(*index, vars);
                 let v = read(*value, vars);
-                let name = self.array_name(*array);
                 let slice = array_slice_mut(*array, globals, locals);
-                let cell = checked_index_mut(slice, i, name)?;
-                *cell = v;
+                let len = slice.len();
+                match usize::try_from(i).ok().and_then(|idx| slice.get_mut(idx)) {
+                    Some(cell) => *cell = v,
+                    None => return Err(self.out_of_bounds(*array, i, len)),
+                }
             }
         }
         Ok(())
     }
 
-    fn array_name(&self, array: ArrayRef) -> String {
-        match array {
-            ArrayRef::Global(g) => self.ir.globals[g as usize].name.clone(),
-            ArrayRef::Local(a) => self.ir.entry.arrays[a as usize].name.clone(),
+    /// The error for an out-of-range access, built only on that path so
+    /// in-bounds accesses never touch the array's name.
+    fn out_of_bounds(&self, array: ArrayRef, index: i64, len: usize) -> ProfileError {
+        let name = match array {
+            ArrayRef::Global(g) => &self.ir.globals[g as usize].name,
+            ArrayRef::Local(a) => &self.ir.entry.arrays[a as usize].name,
+        };
+        ProfileError::IndexOutOfBounds {
+            array: name.clone(),
+            index,
+            len,
         }
     }
 }
@@ -279,29 +300,6 @@ fn array_slice_mut<'a>(
         ArrayRef::Global(g) => &mut globals[g as usize],
         ArrayRef::Local(a) => &mut locals[a as usize],
     }
-}
-
-fn checked_index(slice: &[i64], i: i64, name: String) -> Result<i64, ProfileError> {
-    usize::try_from(i)
-        .ok()
-        .and_then(|i| slice.get(i).copied())
-        .ok_or(ProfileError::IndexOutOfBounds {
-            array: name,
-            index: i,
-            len: slice.len(),
-        })
-}
-
-fn checked_index_mut(slice: &mut [i64], i: i64, name: String) -> Result<&mut i64, ProfileError> {
-    let len = slice.len();
-    usize::try_from(i)
-        .ok()
-        .and_then(move |idx| slice.get_mut(idx))
-        .ok_or(ProfileError::IndexOutOfBounds {
-            array: name,
-            index: i,
-            len,
-        })
 }
 
 #[cfg(test)]
@@ -408,26 +406,43 @@ mod tests {
         ));
     }
 
+    /// The `(array, index, len)` of an out-of-bounds error.
+    fn out_of_bounds(src: &str) -> (String, i64, usize) {
+        match run_err(src) {
+            ProfileError::IndexOutOfBounds { array, index, len } => (array, index, len),
+            other => panic!("expected an out-of-bounds error, got {other:?}"),
+        }
+    }
+
+    /// Loads, stores and local arrays each name the array they missed,
+    /// not a neighbour.
     #[test]
     fn index_out_of_bounds_reported() {
-        let e = run_err("int a[4]; int main() { int i = 9; return a[i]; }");
-        assert!(matches!(
-            e,
-            ProfileError::IndexOutOfBounds {
-                index: 9,
-                len: 4,
-                ..
-            }
-        ));
+        for (src, expected) in [
+            (
+                "int b[2]; int a[4]; int main() { int i = 9; return a[i]; }",
+                ("a", 9, 4),
+            ),
+            (
+                "int a[4]; int b[2]; int main() { int i = 2; b[i] = a[i]; return 0; }",
+                ("b", 2, 2),
+            ),
+            (
+                "int g[8]; int main() { int buf[3]; int tmp[5]; int i = 4; tmp[i] = 1; buf[i] = g[i]; return 0; }",
+                ("buf", 4, 3),
+            ),
+        ] {
+            let (array, index, len) = expected;
+            assert_eq!(out_of_bounds(src), (array.to_owned(), index, len), "{src}");
+        }
     }
 
     #[test]
     fn negative_index_reported() {
-        let e = run_err("int a[4]; int main() { int i = 0 - 1; return a[i]; }");
-        assert!(matches!(
-            e,
-            ProfileError::IndexOutOfBounds { index: -1, .. }
-        ));
+        assert_eq!(
+            out_of_bounds("int a[4]; int b[2]; int main() { int i = 0 - 1; return a[i]; }"),
+            ("a".to_owned(), -1, 4)
+        );
     }
 
     #[test]
@@ -453,13 +468,39 @@ mod tests {
         ));
     }
 
+    /// Elements past an initialiser read zero, and an input may fill the
+    /// array past its initialiser up to the declared length.
+    #[test]
+    fn short_initialiser_is_zero_padded() {
+        let e = run("int a[5] = {1, 2}; int main() { return a[0] * 100 + a[1] * 10 + a[4]; }");
+        assert_eq!(e.return_value, Some(120));
+        assert_eq!(e.global("a"), Some(&[1, 2, 0, 0, 0][..]));
+
+        let ir = compile_to_ir("int a[5] = {1, 2}; int main() { return a[3]; }", "main").unwrap();
+        let e = Interpreter::new(&ir).run(&[("a", &[7, 8, 9, 4])]).unwrap();
+        assert_eq!(e.return_value, Some(4));
+        assert_eq!(e.global("a"), Some(&[7, 8, 9, 4, 0][..]));
+    }
+
     #[test]
     fn oversized_input_rejected() {
-        let ir = compile_to_ir("int a[2]; int main() { return a[0]; }", "main").unwrap();
-        assert!(matches!(
-            Interpreter::new(&ir).run(&[("a", &[1, 2, 3])]),
-            Err(ProfileError::InputTooLong { .. })
-        ));
+        for src in [
+            "int a[3]; int main() { return a[0]; }",
+            "int a[3] = {1}; int main() { return a[0]; }",
+        ] {
+            let ir = compile_to_ir(src, "main").unwrap();
+            assert!(
+                matches!(
+                    Interpreter::new(&ir).run(&[("a", &[1, 2, 3, 4])]),
+                    Err(ProfileError::InputTooLong {
+                        len: 4,
+                        capacity: 3,
+                        ..
+                    })
+                ),
+                "{src}"
+            );
+        }
     }
 
     #[test]
