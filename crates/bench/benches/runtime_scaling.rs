@@ -1,9 +1,10 @@
-//! Calendar-queue engine at scale: a 32-tenant synthetic population
+//! The event-queue engine at scale: a 32-tenant synthetic population
 //! streamed through the simulator with sketched percentiles, at job
 //! counts spanning two orders of magnitude. Prints the throughput
 //! summary once (jobs/sec should stay roughly flat as the count grows —
-//! the O(1)-per-event scheduler and O(1)-memory latency sketch are what
-//! this bench guards), then times the streaming runs.
+//! the event queue bounded by the resource count and the O(1)-memory
+//! latency sketch are what this bench guards), then times the streaming
+//! runs.
 
 use amdrel_bench::synthetic_tenants;
 use amdrel_core::Platform;

@@ -1,7 +1,7 @@
 //! A lightweight, dependency-free counter/gauge registry.
 //!
 //! Every subsystem that counts something (the [`MappingCache`], the
-//! incremental engine, the runtime's calendar queue and fault layer,
+//! incremental engine, the runtime's event queue and fault layer,
 //! explore's evaluators) snapshots its counters into a
 //! [`MetricsRegistry`], and every `--json` report renders the registry
 //! as a `metrics` object. The registry is deliberately dumb: an

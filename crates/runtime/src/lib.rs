@@ -21,7 +21,7 @@
 //! * [`SchedulePolicy`] — pluggable dispatch: [`Fcfs`],
 //!   [`ShortestJobFirst`], [`PriorityFirst`], [`ConfigAffinity`];
 //! * [`Simulation`] — the builder facade over the deterministic
-//!   discrete-event simulator (calendar-queue event core, events totally
+//!   discrete-event simulator (binary-heap event core, events totally
 //!   ordered by `(time, sequence)`), with a configuration cache,
 //!   optional bitstream prefetch, an admission bound ([`SimConfig`])
 //!   and streaming latency aggregation ([`SketchMode`]); the historical
@@ -54,8 +54,8 @@
 //!   counts, percentile provenance ([`LatencySource`]), reliability
 //!   metrics ([`ReliabilityStats`]: injected/retried/degraded/aborted
 //!   counts, availability, goodput vs raw throughput, fault-conditioned
-//!   p95s) and calendar-queue internals ([`CalendarStats`]); renders as
-//!   a table or JSON (schema `amdrel-simulate/v4`, with a flat `metrics`
+//!   p95s) and event-queue statistics ([`QueueStats`]); renders as
+//!   a table or JSON (schema `amdrel-simulate/v5`, with a flat `metrics`
 //!   registry via [`RuntimeReport::metrics`]);
 //! * **tracing** — [`Simulation::trace`] attaches an
 //!   [`amdrel_trace::TraceSink`] the engine emits per-job lifecycle
@@ -91,10 +91,10 @@
 #![warn(missing_debug_implementations)]
 
 mod backoff;
-mod calendar;
 mod fault;
 mod policy;
 mod profile;
+mod queue;
 mod region;
 mod report;
 mod shard;
@@ -103,12 +103,12 @@ mod sketch;
 mod workload;
 
 pub use backoff::BackoffSchedule;
-pub use calendar::CalendarStats;
 pub use fault::{FaultSpec, RecoveryPolicy};
 pub use policy::{
     policy_by_name, ConfigAffinity, Fcfs, PriorityFirst, SchedulePolicy, ShortestJobFirst,
 };
 pub use profile::{AppProfile, ConfigId, FabricConfig, FALLBACK_FINE_PENALTY};
+pub use queue::QueueStats;
 pub use region::RegionPlan;
 pub use report::{report_to_json, AppStats, ReliabilityStats, RuntimeReport};
 pub use shard::shard_of;

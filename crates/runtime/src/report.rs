@@ -3,8 +3,8 @@
 //! JSON rendering through the workspace's shared
 //! [`amdrel_core::json`] writer.
 
-use crate::calendar::CalendarStats;
 use crate::fault::{FaultSpec, RecoveryPolicy};
+use crate::queue::QueueStats;
 use crate::sim::SimConfig;
 use crate::sketch::{LatencySketch, LatencySource};
 use amdrel_core::json::escape;
@@ -66,21 +66,23 @@ impl AppStats {
 
     /// Build the stats from a streaming [`LatencySketch`] (what the
     /// simulator records into). With an exact-representation sketch this
-    /// is identical to [`AppStats::from_latencies`] on the same sample.
+    /// is identical to [`AppStats::from_latencies`] on the same sample,
+    /// which it sorts in place (see [`LatencySketch::percentiles`]).
     pub fn from_sketch(
         name: &str,
         arrived: u64,
         completed: u64,
         rejected: u64,
-        sketch: &LatencySketch,
+        sketch: &mut LatencySketch,
     ) -> Self {
+        let [p50_latency, p95_latency] = sketch.percentiles([50, 95]);
         AppStats {
             name: name.to_owned(),
             arrived,
             completed,
             rejected,
-            p50_latency: sketch.percentile(50),
-            p95_latency: sketch.percentile(95),
+            p50_latency,
+            p95_latency,
             max_latency: sketch.max(),
         }
     }
@@ -160,9 +162,9 @@ pub struct RuntimeReport {
     /// The recovery policy the run used (behaviour-neutral metadata
     /// while `faults` is inert).
     pub recovery: RecoveryPolicy,
-    /// Calendar-queue internals for the run (all-zero from sources with
-    /// no calendar, e.g. hand-built reports).
-    pub queue: CalendarStats,
+    /// Event-queue statistics for the run (all-zero from sources with
+    /// no event queue, e.g. hand-built reports).
+    pub queue: QueueStats,
     /// What the fault layer injected and the recovery layer salvaged.
     pub reliability: ReliabilityStats,
     /// Per-application breakdown, in profile order.
@@ -280,7 +282,6 @@ impl RuntimeReport {
         m.set("queue.events", self.queue.events);
         m.set("queue.rehashes", self.queue.rehashes);
         m.set("queue.peak_occupancy", self.queue.peak_occupancy);
-        m.set("queue.day_width", self.queue.day_width);
         m.set("faults.injected", self.reliability.injected);
         m.set("faults.load_failures", self.reliability.load_failures);
         m.set("faults.fabric_kills", self.reliability.fabric_kills);
@@ -381,18 +382,20 @@ impl RuntimeReport {
 }
 
 /// Render a [`RuntimeReport`] as deterministic JSON
-/// (schema `amdrel-simulate/v4`).
+/// (schema `amdrel-simulate/v5`).
 ///
-/// v4 additions over v3: the `queue` object (calendar-queue internals:
-/// events scheduled, rehashes, peak occupancy, day width) and the
-/// `metrics` object (the [`RuntimeReport::metrics`] registry, flat
-/// dotted-path counters). Every v3 key is retained unchanged. Earlier
-/// history: v3 added `faults`, `recovery` and `reliability`; v2 added
+/// v5 drops `day_width` from the `queue` object and the
+/// `queue.day_width` metric: the event core is a binary heap, which has
+/// no day width (`rehashes` stays, always 0). Every other v4 key is
+/// retained unchanged. Earlier history: v4 added the `queue` object
+/// (events scheduled, rehashes, peak occupancy) and the `metrics`
+/// object (the [`RuntimeReport::metrics`] registry, flat dotted-path
+/// counters); v3 added `faults`, `recovery` and `reliability`; v2 added
 /// the `latency_source` provenance field in `totals`; `queue_bound`
 /// keeps the v1 convention of `0` meaning unbounded.
 pub fn report_to_json(report: &RuntimeReport) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"amdrel-simulate/v4\",\n");
+    out.push_str("{\n  \"schema\": \"amdrel-simulate/v5\",\n");
     let _ = writeln!(out, "  \"policy\": \"{}\",", escape(&report.policy));
     let _ = writeln!(
         out,
@@ -454,12 +457,8 @@ pub fn report_to_json(report: &RuntimeReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"queue\": {{\"events\": {}, \"rehashes\": {}, \"peak_occupancy\": {}, \
-         \"day_width\": {}}},",
-        report.queue.events,
-        report.queue.rehashes,
-        report.queue.peak_occupancy,
-        report.queue.day_width
+        "  \"queue\": {{\"events\": {}, \"rehashes\": {}, \"peak_occupancy\": {}}},",
+        report.queue.events, report.queue.rehashes, report.queue.peak_occupancy
     );
     let r = &report.reliability;
     let _ = writeln!(
@@ -550,7 +549,7 @@ mod tests {
             latency_source: LatencySource::Exact,
             faults: FaultSpec::none(),
             recovery: RecoveryPolicy::default(),
-            queue: CalendarStats::default(),
+            queue: QueueStats::default(),
             reliability: ReliabilityStats::default(),
             apps: vec![AppStats::from_latencies("a", 10, 8, 2, vec![5; 8])],
         }
@@ -604,7 +603,7 @@ mod tests {
     fn json_and_table_shapes() {
         let r = toy_report();
         let json = report_to_json(&r);
-        assert!(json.contains("\"schema\": \"amdrel-simulate/v4\""));
+        assert!(json.contains("\"schema\": \"amdrel-simulate/v5\""));
         assert!(json.contains("\"apps\""));
         assert!(json.contains("\"queue\""));
         assert!(json.contains("\"metrics\""));
@@ -640,7 +639,7 @@ mod tests {
         let mut sketch = LatencySketch::new(LatencySource::Exact);
         sample.iter().for_each(|&v| sketch.record(v));
         assert_eq!(
-            AppStats::from_sketch("x", 9, 7, 2, &sketch),
+            AppStats::from_sketch("x", 9, 7, 2, &mut sketch),
             AppStats::from_latencies("x", 9, 7, 2, sample)
         );
     }

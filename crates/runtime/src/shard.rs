@@ -3,7 +3,7 @@
 //! [`Simulation::shards`] partitions the tenant set across `k`
 //! independent shards — application `i` lives on shard
 //! [`shard_of(i, k)`](shard_of) — and runs one full platform replica
-//! per shard on a scoped thread. Each shard owns a private calendar
+//! per shard on a scoped thread. Each shard owns a private event
 //! queue, fabric/CGC/region state and trace log, and simulates exactly
 //! the subsequence of the global job stream that targets its
 //! applications, with global job ids and arrival times preserved.
@@ -33,10 +33,11 @@
 //! The merge itself runs on the calling thread after joining the shard
 //! threads **in shard order**: ledgers fold via
 //! `Ledger::merge` (counters add, makespan maxes, sketches merge),
-//! calendar statistics fold element-wise, and per-shard event logs are
-//! replayed into the caller's [`TraceSink`] in shard order — every
-//! event keeps its shard-local emission position, the sink restamps the
-//! global sequence, and all exporters canonicalise by `(time, seq)`.
+//! event-queue statistics fold (events add, peak maxes), and per-shard
+//! event logs are replayed into the caller's [`TraceSink`] in shard
+//! order — every event keeps its shard-local emission position, the
+//! sink restamps the global sequence, and all exporters canonicalise by
+//! `(time, seq)`.
 //! The result is a pure function of the inputs, independent of `k`'s
 //! thread scheduling.
 //!
@@ -46,7 +47,7 @@
 //! degenerate cases are *byte*-identical to the unsharded oracle,
 //! report, JSON, metrics and trace included.
 
-use crate::calendar::CalendarStats;
+use crate::queue::QueueStats;
 use crate::report::RuntimeReport;
 use crate::sim::{Engine, Ledger, Simulation};
 use crate::sketch::LatencySource;
@@ -89,7 +90,7 @@ pub(crate) fn run_sharded<I: Iterator<Item = Job>>(
     }
     let tracing = sim.trace.is_some();
     let buffers: Vec<TraceBuffer> = (0..k).map(|_| TraceBuffer::new()).collect();
-    let mut folds: Vec<(Ledger, CalendarStats)> = Vec::with_capacity(k);
+    let mut folds: Vec<(Ledger, QueueStats)> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
         let handles: Vec<_> = parts
             .into_iter()
@@ -114,16 +115,10 @@ pub(crate) fn run_sharded<I: Iterator<Item = Job>>(
     let (mut ledger, mut queue) = folds.next().expect("at least one shard ran");
     for (shard_ledger, shard_queue) in folds {
         ledger.merge(shard_ledger);
-        // Event and rehash counts add across the disjoint calendars;
-        // peak occupancy is the worst single shard. The day width is a
-        // pure function of the profiles, which every replica shares.
+        // Event counts add across the disjoint queues; peak occupancy is
+        // the worst single shard.
         queue.events += shard_queue.events;
-        queue.rehashes += shard_queue.rehashes;
         queue.peak_occupancy = queue.peak_occupancy.max(shard_queue.peak_occupancy);
-        debug_assert_eq!(
-            queue.day_width, shard_queue.day_width,
-            "replicas share one profile-derived day width"
-        );
     }
 
     if let Some(sink) = sim.trace {

@@ -23,21 +23,28 @@
 //! the seeded [`WorkloadSpec`](crate::WorkloadSpec) generator and, when
 //! one is attached, the seeded [`FaultSpec`](crate::FaultSpec) whose
 //! per-`(channel, job, attempt)` draws are pure functions — fault,
-//! repair and deadline events flow through the same calendar queue and
+//! repair and deadline events flow through the same event queue and
 //! the same total order, so faulted runs replay bit-for-bit too, and a
 //! zero-rate spec is byte-identical to attaching none.
 //!
 //! # Engine
 //!
-//! The event core is a [`CalendarQueue`] (O(1) amortised pop) rather
-//! than a binary heap, and it holds **only completion events**: at any
-//! instant at most one FPGA phase and `cgc_slots` coarse phases are in
-//! flight, so the event structure is O(1) in the job count. Arrivals are
-//! merged lazily from the (time-sorted) job stream, with arrivals
-//! winning time ties — exactly the order the historical heap produced,
+//! The event core is an [`EventQueue`] — a binary min-heap on
+//! `(time, seq)` — that holds **no arrivals**. Arrivals are merged
+//! lazily from the (time-sorted) job stream, with arrivals winning time
+//! ties — exactly the order the historical all-events heap produced,
 //! where every arrival was pushed before any completion and therefore
-//! carried a smaller sequence number. The heap implementation is
-//! retained behind `#[cfg(test)]` as a differential oracle.
+//! carried a smaller sequence number. That heap is retained behind
+//! `#[cfg(test)]` as a differential oracle.
+//!
+//! Each resource has at most one pending event: the fabric's phase end,
+//! fault or retry, and each CGC slot's completion, outage or repair.
+//! The job an event concerns therefore stays on its resource (the
+//! fabric holds an `Option<Job>`, each slot an `Option<CgcTask>`) and
+//! the event carries only its kind plus an attempt number or slot id —
+//! 32 bytes with its key. Besides those, the queue holds one deadline
+//! per queued job when deadlines are on; without them it is O(1) in the
+//! job count (`1 + cgc_slots` events at most).
 //!
 //! # Entry point
 //!
@@ -46,10 +53,10 @@
 //! and the benches. The historical free functions [`run_simulation`] and
 //! [`simulate_mix`] remain as thin deprecated shims over it.
 
-use crate::calendar::{CalendarQueue, CalendarStats};
 use crate::fault::{permille_of, FaultSpec, RecoveryPolicy};
 use crate::policy::{Fcfs, SchedulePolicy};
 use crate::profile::{AppProfile, ConfigId};
+use crate::queue::{EventQueue, QueueStats};
 use crate::region::RegionPlan;
 use crate::report::{AppStats, ReliabilityStats, RuntimeReport};
 use crate::sketch::{LatencySketch, LatencySource, SketchMode};
@@ -104,28 +111,29 @@ struct CgcTask {
     faulted: bool,
 }
 
-/// A completion event payload; arrivals never enter the event structure
-/// (they are merged lazily from the sorted job stream). Fault, repair
-/// and deadline events flow through the same calendar queue and the
-/// same `(time, seq)` total order as completions — at equal times the
-/// earlier-scheduled event fires first, deterministically.
+/// A scheduled event; arrivals never enter the event queue (they are
+/// merged lazily from the sorted job stream). Fault, repair and
+/// deadline events share the `(time, seq)` total order with completions
+/// — at equal times the earlier-scheduled event fires first,
+/// deterministically. Fabric events concern the job the fabric holds,
+/// slot events the task in that slot (see the module docs).
 #[derive(Debug, Clone, Copy)]
 enum Completion {
-    /// The fabric finishes `Job`'s fine-grain phase (attempt > 0 means
-    /// it recovered from at least one fault first).
-    Fpga { job: Job, attempt: u32 },
-    /// CGC slot `slot` finishes a coarse-phase task.
-    Cgc { task: CgcTask, slot: u32 },
-    /// A bitstream load for `job`'s attempt fails after stalling the
-    /// fabric for its full streaming time.
-    LoadFault { job: Job, attempt: u32 },
-    /// A transient fabric fault kills `job`'s in-flight fine phase.
-    FabricFault { job: Job, attempt: u32 },
-    /// Backoff elapsed: the fabric (still held by `job`) retries.
-    FabricRetry { job: Job, attempt: u32 },
-    /// An outage of CGC slot `slot` kills the task's in-flight coarse
+    /// The fabric finishes its job's fine-grain phase (attempt > 0
+    /// means it recovered from at least one fault first).
+    Fpga { attempt: u32 },
+    /// CGC slot `slot` finishes its coarse-phase task.
+    Cgc { slot: u32 },
+    /// The bitstream load of the fabric job's attempt fails after
+    /// stalling the fabric for its full streaming time.
+    LoadFault { attempt: u32 },
+    /// A transient fabric fault kills the in-flight fine phase.
+    FabricFault { attempt: u32 },
+    /// Backoff elapsed: the fabric (still holding its job) retries.
+    FabricRetry { attempt: u32 },
+    /// An outage of CGC slot `slot` kills its task's in-flight coarse
     /// phase; the slot stays down until its repair event.
-    SlotFault { task: CgcTask, slot: u32 },
+    SlotFault { slot: u32 },
     /// Failed CGC slot `slot` returns to the pool.
     SlotRepair { slot: u32 },
     /// `job_id`'s deadline: reap it if it still waits for the fabric.
@@ -133,16 +141,21 @@ enum Completion {
 }
 
 /// Streaming run accounting: counters plus one [`LatencySketch`] per
-/// application and one aggregate — O(1) memory in the job count when
-/// sketched. Shared by the calendar engine, the sharded runner (which
-/// folds one ledger per shard) and the `#[cfg(test)]` heap oracle so
-/// differential tests isolate the event-core difference.
+/// `(application, clean | faulted)` pair — O(1) memory in the job count
+/// when sketched. Each completion is recorded once; the per-app, total,
+/// clean and faulted distributions are exact merges of those sketches,
+/// built when the report is. Shared by the event-queue engine, the
+/// sharded runner (which folds one ledger per shard) and the
+/// `#[cfg(test)]` heap oracle so differential tests isolate the
+/// event-core difference.
 pub(crate) struct Ledger {
     arrived: Vec<u64>,
     rejected: Vec<u64>,
     completed: Vec<u64>,
-    per_app: Vec<LatencySketch>,
-    total: LatencySketch,
+    /// Per application: latencies of clean completions, then of
+    /// completions that saw at least one fault.
+    latencies: Vec<[LatencySketch; 2]>,
+    source: LatencySource,
     fpga_busy_cycles: u64,
     reconfig_stall_cycles: u64,
     reconfig_loads: u64,
@@ -158,8 +171,6 @@ pub(crate) struct Ledger {
     deadline_misses: u64,
     fault_lost_cycles: u64,
     slot_downtime_cycles: u64,
-    clean: LatencySketch,
-    faulted: LatencySketch,
 }
 
 impl Ledger {
@@ -168,8 +179,10 @@ impl Ledger {
             arrived: vec![0; napps],
             rejected: vec![0; napps],
             completed: vec![0; napps],
-            per_app: (0..napps).map(|_| LatencySketch::new(source)).collect(),
-            total: LatencySketch::new(source),
+            latencies: (0..napps)
+                .map(|_| [LatencySketch::new(source), LatencySketch::new(source)])
+                .collect(),
+            source,
             fpga_busy_cycles: 0,
             reconfig_stall_cycles: 0,
             reconfig_loads: 0,
@@ -184,21 +197,12 @@ impl Ledger {
             deadline_misses: 0,
             fault_lost_cycles: 0,
             slot_downtime_cycles: 0,
-            clean: LatencySketch::new(source),
-            faulted: LatencySketch::new(source),
         }
     }
 
     fn complete(&mut self, job: &Job, now: u64, faulted: bool) {
         self.completed[job.app] += 1;
-        let latency = now - job.arrival;
-        self.per_app[job.app].record(latency);
-        self.total.record(latency);
-        if faulted {
-            self.faulted.record(latency);
-        } else {
-            self.clean.record(latency);
-        }
+        self.latencies[job.app][usize::from(faulted)].record(now - job.arrival);
         self.makespan = self.makespan.max(now);
     }
 
@@ -217,12 +221,10 @@ impl Ledger {
         for (mine, theirs) in self.completed.iter_mut().zip(&other.completed) {
             *mine += theirs;
         }
-        for (mine, theirs) in self.per_app.iter_mut().zip(&other.per_app) {
-            mine.merge_from(theirs);
+        for (mine, theirs) in self.latencies.iter_mut().zip(&other.latencies) {
+            mine[0].merge_from(&theirs[0]);
+            mine[1].merge_from(&theirs[1]);
         }
-        self.total.merge_from(&other.total);
-        self.clean.merge_from(&other.clean);
-        self.faulted.merge_from(&other.faulted);
         self.fpga_busy_cycles += other.fpga_busy_cycles;
         self.reconfig_stall_cycles += other.reconfig_stall_cycles;
         self.reconfig_loads += other.reconfig_loads;
@@ -252,19 +254,29 @@ impl Ledger {
         faults: FaultSpec,
         recovery: RecoveryPolicy,
     ) -> RuntimeReport {
+        let source = self.source;
+        let mut total = LatencySketch::new(source);
+        let mut clean = LatencySketch::new(source);
+        let mut faulted = LatencySketch::new(source);
         let apps: Vec<AppStats> = profiles
             .iter()
+            .zip(self.latencies)
             .enumerate()
-            .map(|(a, p)| {
+            .map(|(a, (p, [mut app, app_faulted]))| {
+                clean.merge_from(&app);
+                faulted.merge_from(&app_faulted);
+                app.merge_from(&app_faulted);
+                total.merge_from(&app);
                 AppStats::from_sketch(
                     &p.name,
                     self.arrived[a],
                     self.completed[a],
                     self.rejected[a],
-                    &self.per_app[a],
+                    &mut app,
                 )
             })
             .collect();
+        let [p50_latency, p95_latency] = total.percentiles([50, 95]);
         RuntimeReport {
             policy: policy.to_owned(),
             config,
@@ -274,12 +286,12 @@ impl Ledger {
             reconfig_stall_cycles: self.reconfig_stall_cycles,
             reconfig_loads: self.reconfig_loads,
             cgc_busy_cycles: self.cgc_busy_cycles,
-            p50_latency: self.total.percentile(50),
-            p95_latency: self.total.percentile(95),
-            latency_source: self.total.source(),
+            p50_latency,
+            p95_latency,
+            latency_source: source,
             faults,
             recovery,
-            queue: CalendarStats::default(),
+            queue: QueueStats::default(),
             reliability: ReliabilityStats {
                 injected: self.load_failures + self.fabric_kills + self.slot_outages,
                 load_failures: self.load_failures,
@@ -291,10 +303,10 @@ impl Ledger {
                 deadline_misses: self.deadline_misses,
                 fault_lost_cycles: self.fault_lost_cycles,
                 slot_downtime_cycles: self.slot_downtime_cycles,
-                clean_completed: self.clean.count(),
-                faulted_completed: self.faulted.count(),
-                p95_clean: self.clean.percentile(95),
-                p95_faulted: self.faulted.percentile(95),
+                clean_completed: clean.count(),
+                faulted_completed: faulted.count(),
+                p95_clean: clean.percentiles([95])[0],
+                p95_faulted: faulted.percentiles([95])[0],
             },
             apps,
         }
@@ -309,11 +321,12 @@ pub(crate) struct Engine<'a> {
     faults: FaultSpec,
     recovery: RecoveryPolicy,
 
-    events: CalendarQueue<Completion>,
+    events: EventQueue<Completion>,
     next_seq: u64,
 
     fpga_queue: Vec<Job>,
-    fpga_busy: bool,
+    /// The job holding the fabric (through its whole retry chain).
+    fabric: Option<Job>,
     loaded: Option<ConfigId>,
     /// Region-granular reconfiguration, when a partial plan is attached
     /// (a single full-fabric region keeps the scalar path, `None` here).
@@ -322,6 +335,8 @@ pub(crate) struct Engine<'a> {
     region_owner: Vec<Option<ConfigId>>,
 
     cgc_queue: VecDeque<CgcTask>,
+    /// The task running (or killed by an outage) in each CGC slot.
+    slots: Vec<Option<CgcTask>>,
     /// Free CGC slot ids, kept sorted descending so `pop()` hands out
     /// the smallest id. Slots are fungible for timing — this ordering
     /// only pins *which* slot a task runs on, so per-slot trace tracks
@@ -335,13 +350,7 @@ pub(crate) struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     pub(crate) fn new(sim: &Simulation<'a>, source: LatencySource) -> Self {
-        // Day width sized from the mean per-job service demand: events
-        // land one service time apart on average, so buckets stay short.
-        let width_hint = if sim.profiles.is_empty() {
-            1024
-        } else {
-            sim.profiles.iter().map(|p| p.service_cycles()).sum::<u64>() / sim.profiles.len() as u64
-        };
+        let cgc_slots = sim.platform.datapath.cgcs.len();
         let region_plan = sim.regions.filter(|plan| plan.is_partial());
         Engine {
             profiles: sim.profiles,
@@ -350,15 +359,16 @@ impl<'a> Engine<'a> {
             config: sim.config,
             faults: sim.faults,
             recovery: sim.recovery,
-            events: CalendarQueue::new(width_hint),
+            events: EventQueue::new(),
             next_seq: 0,
             fpga_queue: Vec::new(),
-            fpga_busy: false,
+            fabric: None,
             loaded: None,
             region_plan,
             region_owner: vec![None; region_plan.map_or(0, RegionPlan::regions)],
             cgc_queue: VecDeque::new(),
-            free_slots: (0..sim.platform.datapath.cgcs.len() as u32).rev().collect(),
+            slots: vec![None; cgc_slots],
+            free_slots: (0..cgc_slots as u32).rev().collect(),
             ledger: Ledger::new(sim.profiles.len(), source),
             trace: sim.trace,
         }
@@ -381,8 +391,8 @@ impl<'a> Engine<'a> {
     /// Return `slot` to the free pool, keeping the descending order that
     /// makes `pop()` yield the smallest free id.
     fn release_slot(&mut self, slot: u32) {
-        self.free_slots.push(slot);
-        self.free_slots.sort_unstable_by(|a, b| b.cmp(a));
+        let at = self.free_slots.partition_point(|&free| free > slot);
+        self.free_slots.insert(at, slot);
     }
 
     /// Reconfiguration charge for dispatching `job` now: `(bitstream
@@ -428,17 +438,30 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_fpga(&mut self, now: u64) {
-        if self.fpga_busy || self.fpga_queue.is_empty() {
+        if self.fabric.is_some() || self.fpga_queue.is_empty() {
             return;
         }
         let pick = self.policy.pick(&self.fpga_queue, self.loaded);
         let job = self.fpga_queue.swap_remove(pick);
-        self.fpga_busy = true;
+        self.fabric = Some(job);
         self.start_fabric_attempt(job, 0, now);
     }
 
-    /// Begin fabric attempt `attempt` of `job` (the fabric is already
-    /// held). Consults the fault spec for a load failure, then a
+    /// The job holding the fabric, for a fabric event.
+    fn fabric_job(&self) -> Job {
+        self.fabric
+            .expect("a fabric event fires while the fabric holds a job")
+    }
+
+    /// Take the task out of `slot`, for its completion or outage event.
+    fn take_task(&mut self, slot: u32) -> CgcTask {
+        self.slots[slot as usize]
+            .take()
+            .expect("a slot event fires while the slot holds a task")
+    }
+
+    /// Begin fabric attempt `attempt` of `job` (which already holds the
+    /// fabric). Consults the fault spec for a load failure, then a
     /// transient kill; on the zero-rate spec neither stream is touched
     /// and the charge/schedule sequence is exactly the fault-free one.
     fn start_fabric_attempt(&mut self, job: Job, attempt: u32, now: u64) {
@@ -492,7 +515,7 @@ impl<'a> Engine<'a> {
                     .with_job(job.id)
                     .with_arg(attempt as u64),
             );
-            self.schedule(now + stall, Completion::LoadFault { job, attempt });
+            self.schedule(now + stall, Completion::LoadFault { attempt });
             return;
         }
         if loads > 0 {
@@ -521,10 +544,7 @@ impl<'a> Engine<'a> {
                     .with_job(job.id)
                     .with_arg(attempt as u64),
             );
-            self.schedule(
-                now + stall + wasted,
-                Completion::FabricFault { job, attempt },
-            );
+            self.schedule(now + stall + wasted, Completion::FabricFault { attempt });
             return;
         }
         self.ledger.fpga_busy_cycles += job.fine_cycles;
@@ -533,17 +553,15 @@ impl<'a> Engine<'a> {
                 .with_job(job.id)
                 .with_arg(attempt as u64),
         );
-        self.schedule(
-            now + stall + job.fine_cycles,
-            Completion::Fpga { job, attempt },
-        );
+        self.schedule(now + stall + job.fine_cycles, Completion::Fpga { attempt });
     }
 
     /// A fabric attempt failed (load fault or transient kill): retry
     /// after backoff while budget remains — the job holds the fabric
     /// through the whole retry chain — else release the fabric and
     /// degrade or abort.
-    fn recover_fabric(&mut self, job: Job, attempt: u32, now: u64) {
+    fn recover_fabric(&mut self, attempt: u32, now: u64) {
+        let job = self.fabric_job();
         if attempt < self.recovery.max_retries {
             self.ledger.retries += 1;
             let delay = self.recovery.backoff.delay(attempt);
@@ -560,13 +578,12 @@ impl<'a> Engine<'a> {
             self.schedule(
                 now + delay,
                 Completion::FabricRetry {
-                    job,
                     attempt: attempt + 1,
                 },
             );
             return;
         }
-        self.fpga_busy = false;
+        self.fabric = None;
         if self.recovery.degrade && !self.platform.datapath.cgcs.is_empty() {
             self.emit(TraceEvent::instant(TrackId::Scheduler, now, "degrade").with_job(job.id));
             self.cgc_queue.push_back(CgcTask {
@@ -615,10 +632,8 @@ impl<'a> Engine<'a> {
                     // Saturating: dispatches after a near-`u64::MAX`
                     // slot repair pin to the end of the clock instead
                     // of overflowing it.
-                    self.schedule(
-                        now.saturating_add(wasted),
-                        Completion::SlotFault { task, slot },
-                    );
+                    self.slots[slot as usize] = Some(task);
+                    self.schedule(now.saturating_add(wasted), Completion::SlotFault { slot });
                     continue;
                 }
             }
@@ -633,10 +648,8 @@ impl<'a> Engine<'a> {
                 .with_job(task.job.id)
                 .with_arg(task.attempt as u64),
             );
-            self.schedule(
-                now.saturating_add(task.cycles),
-                Completion::Cgc { task, slot },
-            );
+            self.slots[slot as usize] = Some(task);
+            self.schedule(now.saturating_add(task.cycles), Completion::Cgc { slot });
         }
     }
 
@@ -683,16 +696,13 @@ impl<'a> Engine<'a> {
 
     /// Drain `jobs` (non-decreasing arrival times) against the platform,
     /// returning the raw accounting instead of a finished report — the
-    /// sharded runner folds one `(Ledger, CalendarStats)` pair per shard
+    /// sharded runner folds one `(Ledger, QueueStats)` pair per shard
     /// before building the merged report.
     ///
     /// The lazy merge gives arrivals priority on time ties, reproducing
     /// the historical heap order in which every arrival carried a
     /// smaller sequence number than any completion.
-    pub(crate) fn run_core<I: Iterator<Item = Job>>(
-        mut self,
-        mut jobs: I,
-    ) -> (Ledger, CalendarStats) {
+    pub(crate) fn run_core<I: Iterator<Item = Job>>(mut self, mut jobs: I) -> (Ledger, QueueStats) {
         let mut pending = jobs.next();
         let mut last_arrival = 0u64;
         loop {
@@ -717,8 +727,9 @@ impl<'a> Engine<'a> {
             } else {
                 let (now, _, completion) = self.events.pop().unwrap();
                 match completion {
-                    Completion::Fpga { job, attempt } => {
-                        self.fpga_busy = false;
+                    Completion::Fpga { attempt } => {
+                        let job = self.fabric_job();
+                        self.fabric = None;
                         let faulted = attempt > 0;
                         if job.coarse_cycles > 0 {
                             self.cgc_queue.push_back(CgcTask {
@@ -739,7 +750,8 @@ impl<'a> Engine<'a> {
                         }
                         self.dispatch_fpga(now);
                     }
-                    Completion::Cgc { task, slot } => {
+                    Completion::Cgc { slot } => {
+                        let task = self.take_task(slot);
                         self.release_slot(slot);
                         if task.degraded {
                             self.ledger.degraded += 1;
@@ -753,14 +765,14 @@ impl<'a> Engine<'a> {
                         self.emit(TraceEvent::job_end(now, task.job.id));
                         self.dispatch_cgc(now);
                     }
-                    Completion::LoadFault { job, attempt }
-                    | Completion::FabricFault { job, attempt } => {
-                        self.recover_fabric(job, attempt, now);
+                    Completion::LoadFault { attempt } | Completion::FabricFault { attempt } => {
+                        self.recover_fabric(attempt, now);
                     }
-                    Completion::FabricRetry { job, attempt } => {
-                        self.start_fabric_attempt(job, attempt, now);
+                    Completion::FabricRetry { attempt } => {
+                        self.start_fabric_attempt(self.fabric_job(), attempt, now);
                     }
-                    Completion::SlotFault { task, slot } => {
+                    Completion::SlotFault { slot } => {
+                        let task = self.take_task(slot);
                         // The slot stays out of the pool until repair.
                         // Saturating: a repair window near `u64::MAX`
                         // pins the slot down for the rest of the run
@@ -1013,7 +1025,7 @@ impl<'a> Simulation<'a> {
     /// Partition the tenants across `k` independent shards (application
     /// `i` lands on shard `i % k`), run one full platform replica per
     /// shard on scoped threads, and fold the per-shard ledgers, event
-    /// logs and calendar statistics back together in shard order.
+    /// logs and event-queue statistics back together in shard order.
     ///
     /// The merged report is a pure function of the inputs: every
     /// deterministic field (counters, makespan, latency percentiles,
@@ -1327,8 +1339,9 @@ mod oracle {
                 }
             }
             // The oracle is deliberately fault-free: fault determinism is
-            // covered by explicit replay tests, and a zero-rate calendar
-            // run must match this fault-free core bit for bit.
+            // covered by explicit replay tests and the trace pins, and a
+            // zero-rate engine run must match this fault-free core bit
+            // for bit.
             self.ledger.into_report(
                 self.profiles,
                 self.policy.name(),
@@ -1563,7 +1576,7 @@ mod tests {
             SimConfig::default(),
             SketchMode::Auto,
         );
-        // The heap oracle has no calendar queue, so its `queue` block is
+        // The oracle keeps no queue statistics, so its `queue` block is
         // zeroed; adopt the engine's before the bit-for-bit compare.
         expect.queue = streamed.queue;
         assert_eq!(streamed, expect);
@@ -1596,11 +1609,11 @@ mod tests {
         assert_eq!(shim, sim(&p, &pf).run_mix(&spec));
     }
 
-    /// The tentpole acceptance test: the calendar engine is bit-identical
-    /// (full `RuntimeReport`) to the retained heap oracle across seeds ×
-    /// all four policies × `SimConfig` variants × sketch modes.
+    /// The engine is bit-identical (full `RuntimeReport`) to the
+    /// retained all-events heap oracle across seeds × all four policies
+    /// × `SimConfig` variants × sketch modes.
     #[test]
-    fn calendar_engine_matches_heap_oracle_bit_for_bit() {
+    fn engine_matches_heap_oracle_bit_for_bit() {
         let profiles = vec![
             AppProfile::synthetic("interactive", 2, 5_000, 1_500, vec![400, 300]),
             AppProfile::synthetic("batch", 0, 40_000, 9_000, vec![900]),
@@ -1639,7 +1652,7 @@ mod tests {
             for policy in policies {
                 for config in &configs {
                     for mode in [SketchMode::Auto, SketchMode::Sketched] {
-                        let calendar = Simulation::new(&pf)
+                        let engine = Simulation::new(&pf)
                             .profiles(&profiles)
                             .policy(policy)
                             .config(*config)
@@ -1647,10 +1660,10 @@ mod tests {
                             .run(&jobs);
                         let mut heap =
                             oracle::run_heap(&profiles, &jobs, &pf, policy, *config, mode);
-                        // The oracle has no calendar queue to report on.
-                        heap.queue = calendar.queue;
+                        // The oracle keeps no queue statistics.
+                        heap.queue = engine.queue;
                         assert_eq!(
-                            calendar,
+                            engine,
                             heap,
                             "divergence: seed {seed}, policy {}, config {config:?}, {mode:?}",
                             policy.name()

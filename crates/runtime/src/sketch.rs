@@ -230,17 +230,24 @@ impl LatencySketch {
     /// holding the nearest-rank element — at least the exact value, at
     /// most `1 + 2^-SUB_BITS` times it.
     pub fn percentile(&self, q: u64) -> u64 {
+        self.clone().percentiles([q])[0]
+    }
+
+    /// Several percentiles at once, each as [`LatencySketch::percentile`]
+    /// defines it. An exact sample is sorted in place once and every
+    /// rank read from it.
+    pub fn percentiles<const N: usize>(&mut self, qs: [u64; N]) -> [u64; N] {
         if self.count == 0 {
-            return 0;
+            return [0; N];
         }
-        let rank = (q * self.count).div_ceil(100).clamp(1, self.count);
-        match &self.repr {
+        let count = self.count;
+        let ranks = qs.map(|q| (q * count).div_ceil(100).clamp(1, count));
+        match &mut self.repr {
             Repr::Exact(sample) => {
-                let mut sorted = sample.clone();
-                sorted.sort_unstable();
-                sorted[(rank - 1) as usize]
+                sample.sort_unstable();
+                ranks.map(|rank| sample[(rank - 1) as usize])
             }
-            Repr::Hist(counts) => {
+            Repr::Hist(counts) => ranks.map(|rank| {
                 let mut seen = 0u64;
                 for (idx, &c) in counts.iter().enumerate() {
                     seen += c;
@@ -248,8 +255,8 @@ impl LatencySketch {
                         return bucket_high(idx);
                     }
                 }
-                unreachable!("rank {rank} exceeds recorded count {}", self.count)
-            }
+                unreachable!("rank {rank} exceeds recorded count {count}")
+            }),
         }
     }
 

@@ -149,10 +149,10 @@ impl WorkloadSpec {
     /// out of range.
     pub fn generate_streaming<'a>(&'a self, profiles: &'a [AppProfile]) -> JobStream<'a> {
         assert!(!self.mix.is_empty(), "workload mix must not be empty");
-        let total_weight: u64 = self
+        let cumulative: Vec<u64> = self
             .mix
             .iter()
-            .map(|s| {
+            .scan(0u64, |total, s| {
                 assert!(s.weight > 0, "mix weights must be nonzero");
                 assert!(
                     s.app < profiles.len(),
@@ -160,9 +160,10 @@ impl WorkloadSpec {
                     s.app,
                     profiles.len()
                 );
-                u64::from(s.weight)
+                *total += u64::from(s.weight);
+                Some(*total)
             })
-            .sum();
+            .collect();
 
         let mut master = SplitMix64::new(self.seed);
         let arrivals = master.fork();
@@ -172,7 +173,7 @@ impl WorkloadSpec {
         JobStream {
             profiles,
             mix: &self.mix,
-            total_weight,
+            cumulative,
             arrivals,
             picks,
             jitter,
@@ -193,7 +194,8 @@ impl WorkloadSpec {
 pub struct JobStream<'a> {
     profiles: &'a [AppProfile],
     mix: &'a [AppShare],
-    total_weight: u64,
+    /// Inclusive prefix sums of the mix weights; the last is the total.
+    cumulative: Vec<u64>,
     arrivals: SplitMix64,
     picks: SplitMix64,
     jitter: SplitMix64,
@@ -214,15 +216,9 @@ impl Iterator for JobStream<'_> {
         let id = self.next_id;
         self.next_id += 1;
         self.now += 1 + self.arrivals.below(2 * self.mean);
-        let mut ticket = self.picks.below(self.total_weight);
-        let mut chosen = self.mix[0].app;
-        for share in self.mix {
-            if ticket < u64::from(share.weight) {
-                chosen = share.app;
-                break;
-            }
-            ticket -= u64::from(share.weight);
-        }
+        let total_weight = self.cumulative[self.cumulative.len() - 1];
+        let ticket = self.picks.below(total_weight);
+        let chosen = self.mix[pick_share(&self.cumulative, ticket)].app;
         let profile = &self.profiles[chosen];
         let fine_scale = JITTER_MIN_PERMILLE + self.jitter.below(JITTER_SPAN);
         let coarse_scale = JITTER_MIN_PERMILLE + self.jitter.below(JITTER_SPAN);
@@ -245,6 +241,13 @@ impl Iterator for JobStream<'_> {
 
 impl ExactSizeIterator for JobStream<'_> {}
 
+/// The mix share a `ticket` in `0..total weight` lands on: the first
+/// share whose inclusive prefix sum exceeds the ticket, found by binary
+/// search over `cumulative`.
+fn pick_share(cumulative: &[u64], ticket: u64) -> usize {
+    cumulative.partition_point(|&c| c <= ticket)
+}
+
 /// `value × permille / 1000`, keeping nonzero values nonzero so a jittered
 /// job never degenerates to a zero-length phase.
 fn scale(value: u64, permille: u64) -> u64 {
@@ -258,6 +261,7 @@ fn scale(value: u64, permille: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn profiles() -> Vec<AppProfile> {
         vec![
@@ -334,6 +338,48 @@ mod tests {
         let streamed: Vec<Job> = s.generate_streaming(&p).collect();
         assert_eq!(batch, streamed);
         assert_eq!(s.generate_streaming(&p).len(), 128);
+    }
+
+    /// The share a linear walk over the weights picks for `ticket`.
+    fn linear_pick(weights: &[u64], mut ticket: u64) -> usize {
+        for (i, &w) in weights.iter().enumerate() {
+            if ticket < w {
+                return i;
+            }
+            ticket -= w;
+        }
+        unreachable!("ticket beyond the total weight")
+    }
+
+    proptest! {
+        /// The binary search over prefix sums picks the same share as a
+        /// linear walk over the weights, for every ticket.
+        #[test]
+        fn prefix_sum_pick_matches_the_linear_scan(
+            seed in any::<u64>(),
+            shares in 1usize..40,
+            max_weight in 1u64..1_000,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let weights: Vec<u64> = (0..shares).map(|_| 1 + rng.below(max_weight)).collect();
+            let cumulative: Vec<u64> = weights
+                .iter()
+                .scan(0, |total, &w| {
+                    *total += w;
+                    Some(*total)
+                })
+                .collect();
+            let total = cumulative[shares - 1];
+            let edges = cumulative.iter().flat_map(|&c| [c - 1, c % total]);
+            let random = (0..64).map(|_| rng.below(total));
+            for ticket in edges.chain(random) {
+                prop_assert_eq!(
+                    pick_share(&cumulative, ticket),
+                    linear_pick(&weights, ticket),
+                    "ticket {} over weights {:?}", ticket, weights
+                );
+            }
+        }
     }
 
     #[test]

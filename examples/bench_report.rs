@@ -180,7 +180,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Planet-scale runtime row: one million jobs over 32 synthetic
-    //     tenants, streamed through the calendar-queue engine with
+    //     tenants, streamed through the event-queue engine with
     //     sketched percentiles (the stream is never materialised and
     //     latency memory stays O(1) in the job count). Timed once — at
     //     this size a single run is its own statistics.

@@ -93,10 +93,10 @@ pub mod prelude {
     pub use amdrel_minic::compile;
     pub use amdrel_profiler::{AnalysisReport, Interpreter, WeightTable};
     pub use amdrel_runtime::{
-        policy_by_name, shard_of, AppProfile, AppShare, BackoffSchedule, CalendarStats,
-        ConfigAffinity, FaultSpec, Fcfs, LatencySketch, LatencySource, PriorityFirst,
-        RecoveryPolicy, RegionPlan, ReliabilityStats, RuntimeReport, SchedulePolicy,
-        ShortestJobFirst, SimConfig, Simulation, SketchMode, WorkloadSpec,
+        policy_by_name, shard_of, AppProfile, AppShare, BackoffSchedule, ConfigAffinity, FaultSpec,
+        Fcfs, LatencySketch, LatencySource, PriorityFirst, QueueStats, RecoveryPolicy, RegionPlan,
+        ReliabilityStats, RuntimeReport, SchedulePolicy, ShortestJobFirst, SimConfig, Simulation,
+        SketchMode, WorkloadSpec,
     };
     #[allow(deprecated)]
     pub use amdrel_runtime::{run_simulation, simulate_mix};

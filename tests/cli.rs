@@ -256,7 +256,7 @@ fn simulate_json_is_bit_deterministic() {
     let (ok1, out1, stderr) = amdrel(&args);
     assert!(ok1, "stderr: {stderr}");
     assert!(
-        out1.contains("\"schema\": \"amdrel-simulate/v4\""),
+        out1.contains("\"schema\": \"amdrel-simulate/v5\""),
         "{out1}"
     );
     assert!(out1.contains("\"apps\""), "{out1}");
@@ -910,7 +910,7 @@ fn profile_prints_phase_json_to_stderr_only() {
         "wall-clock profile output must never contaminate stdout: {stdout}"
     );
     assert!(
-        stdout.contains("\"schema\": \"amdrel-simulate/v4\""),
+        stdout.contains("\"schema\": \"amdrel-simulate/v5\""),
         "{stdout}"
     );
 }

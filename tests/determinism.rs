@@ -67,9 +67,7 @@ fn raw<'a>(obj: &'a str, key: &str) -> &'a str {
         .find(&pat)
         .unwrap_or_else(|| panic!("no field '{key}' in: {obj:.80}…"));
     let rest = &obj[at + pat.len()..];
-    let end = rest
-        .find([',', '}', '\n'])
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
     rest[..end].trim()
 }
 
