@@ -18,8 +18,8 @@ use amdrel_profiler::{AnalysisReport, WeightTable};
 use amdrel_runtime::{AppProfile, ShortestJobFirst};
 
 /// Workload seed shared by the profile builders (the same seed the
-/// bench harness uses, so profiles line up with the committed
-/// baselines).
+/// shared `amdrel-bench` workloads use, so profiles line up with the
+/// committed baselines).
 pub const PROFILE_SEED: u64 = 2004;
 
 /// Reduced input sizes for the heavy encoders: profiles only need the

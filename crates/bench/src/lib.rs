@@ -1,8 +1,11 @@
-//! # amdrel-bench — shared setup for the benchmark harness
+//! # amdrel-bench — shared workloads for the benchmark and the tests
 //!
-//! Each Criterion bench under `benches/` regenerates one table or figure
-//! of the paper (printing the rows once) and times the underlying
-//! algorithms. This crate hosts the workload setup they share.
+//! The profiled paper applications ([`ofdm_prepared`],
+//! [`jpeg_small_prepared`]) and the synthetic tenant population
+//! ([`synthetic_tenants`]) that `perfbench`, the `bench_report` example
+//! and the workspace tests all build on, defined once so every caller
+//! measures or asserts against the same inputs. Timing lives only in
+//! `perfbench/`.
 
 #![warn(missing_docs)]
 
@@ -47,59 +50,18 @@ pub fn ofdm_prepared() -> Prepared {
     prepare(&ofdm::workload(2004))
 }
 
-/// The JPEG encoder at the paper's workload size (256×256).
-pub fn jpeg_prepared() -> Prepared {
-    prepare(&jpeg::workload(jpeg::PAPER_DIM, 2004))
-}
-
 /// The JPEG encoder at a reduced 64×64 size (same structure, ~16× less
 /// interpretation work) for ablations that re-profile repeatedly.
 pub fn jpeg_small_prepared() -> Prepared {
     prepare(&jpeg::workload(64, 2004))
 }
 
-/// A synthetic application for scaling studies: `blocks` random DFG
-/// bodies strung into one loop (so every block is a kernel candidate)
-/// with random execution frequencies. Deterministic in `blocks`, and
-/// shared between the `engine_scaling` bench and the `bench_report`
-/// example so the committed `BENCH_engine.json` baseline and the bench
-/// measure the same workload.
-pub fn synthetic_app(blocks: usize) -> (amdrel_cdfg::Cdfg, Vec<u64>) {
-    use amdrel_cdfg::synth::{random_dfg, SplitMix64, SynthConfig};
-    use amdrel_cdfg::{BasicBlock, BlockId, Cdfg};
-
-    assert!(blocks >= 2, "a synthetic app needs at least 2 blocks");
-    let mut rng = SplitMix64::new(0x5CA1_AB1E ^ blocks as u64);
-    let mut cdfg = Cdfg::new(format!("synth{blocks}"));
-    let mut freqs = Vec::with_capacity(blocks);
-    for i in 0..blocks {
-        let dfg = random_dfg(
-            blocks as u64 * 1000 + i as u64,
-            &SynthConfig {
-                nodes: 6 + (rng.below(24) as usize),
-                mul_fraction: 0.3,
-                load_fraction: 0.15,
-                ..SynthConfig::default()
-            },
-        );
-        cdfg.add_block(BasicBlock::from_dfg(format!("b{i}"), dfg));
-        freqs.push(1 + rng.below(2000));
-    }
-    for i in 0..blocks - 1 {
-        cdfg.add_edge(BlockId(i as u32), BlockId(i as u32 + 1))
-            .expect("edge");
-    }
-    cdfg.add_edge(BlockId(blocks as u32 - 1), BlockId(0))
-        .expect("back edge");
-    (cdfg, freqs)
-}
-
 /// `n` synthetic tenant profiles for runtime scaling studies: varied
 /// service demands (2k–40k fine-grain cycles), priorities, partition
 /// footprints and communication costs, deterministic in `n`. Shared
-/// between the `runtime_scaling` bench and the `bench_report` example so
-/// the committed `BENCH_runtime.json` scaling row and the bench measure
-/// the same tenant population.
+/// between `perfbench`'s runtime workloads, the `bench_report` example
+/// and `tests/determinism.rs`, so the committed `BENCH_runtime.json`
+/// scaling row and the benchmark play the same tenant population.
 pub fn synthetic_tenants(n: usize) -> Vec<amdrel_runtime::AppProfile> {
     use amdrel_core::rng::SplitMix64;
 

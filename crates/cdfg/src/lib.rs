@@ -14,7 +14,7 @@
 //! * [`Dominators`]/[`LoopInfo`] — dominance and natural loops, which decide
 //!   kernel candidacy ("basic blocks inside loops").
 //! * [`dot`] — Graphviz export; [`synth`] — deterministic random DFGs for
-//!   tests and benches.
+//!   tests.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! Deterministic synthetic DFG generation.
 //!
-//! Benches and property tests need DFGs of controlled size and shape without
-//! pulling a frontend in. The generator uses an internal SplitMix64 stream so
+//! Property tests need DFGs of controlled size and shape without pulling a
+//! frontend in. The generator uses an internal SplitMix64 stream so
 //! the same seed always yields the same graph (no dependency on `rand`, no
 //! wall-clock input — reproducible across runs and machines).
 

@@ -21,8 +21,8 @@
 use amdrel_core::Platform;
 use amdrel_floorplan::FabricGrid;
 use amdrel_runtime::{
-    AppProfile, FabricConfig, FaultSpec, RecoveryPolicy, RegionPlan, SchedulePolicy, SimConfig,
-    Simulation, WorkloadSpec,
+    AppProfile, FabricConfig, FaultSpec, RecoveryPolicy, RegionPlan, SchedulePolicy, Simulation,
+    WorkloadSpec,
 };
 use amdrel_trace::TraceSink;
 use serde::{Deserialize, Serialize};
@@ -102,11 +102,9 @@ pub struct RuntimeEvaluator {
     njobs: usize,
     load_percent: u64,
     arrival: Option<u64>,
-    sim: SimConfig,
     faults: FaultSpec,
     recovery: RecoveryPolicy,
     regions: Option<usize>,
-    shards: usize,
 }
 
 impl RuntimeEvaluator {
@@ -114,7 +112,8 @@ impl RuntimeEvaluator {
     /// `policy`, with the default knobs: seed 42, 200 jobs per
     /// simulation, 130% offered fine-grain load (sustained overload —
     /// the regime where platforms differentiate), candidate priority 1,
-    /// and the default [`SimConfig`] (configuration cache on).
+    /// and the default [`SimConfig`](amdrel_runtime::SimConfig)
+    /// (configuration cache on).
     pub fn new(background: Vec<AppProfile>, policy: Box<dyn SchedulePolicy>) -> RuntimeEvaluator {
         RuntimeEvaluator {
             background,
@@ -124,11 +123,9 @@ impl RuntimeEvaluator {
             njobs: 200,
             load_percent: 130,
             arrival: None,
-            sim: SimConfig::default(),
             faults: FaultSpec::none(),
             recovery: RecoveryPolicy::default(),
             regions: None,
-            shards: 1,
         }
     }
 
@@ -187,13 +184,6 @@ impl RuntimeEvaluator {
         self
     }
 
-    /// Replace the runtime knobs (configuration cache, prefetch,
-    /// admission bound).
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// Attach a fault-injection spec for the reliability objectives
     /// (`p95_under_faults`, `degraded_share`). The baseline metrics are
     /// still scored fault-free; a second, faulted simulation runs only
@@ -228,36 +218,6 @@ impl RuntimeEvaluator {
         );
         self.regions = Some(regions);
         self
-    }
-
-    /// The region count candidates are scored under, when
-    /// [`Self::with_region_reconfig`] enabled region pricing.
-    pub fn region_reconfig(&self) -> Option<usize> {
-        self.regions
-    }
-
-    /// Score candidates with the mix sharded across `shards` parallel
-    /// timelines ([`Simulation::shards`]): tenant `i` runs on platform
-    /// replica `i % shards`, replicas simulate concurrently on scoped
-    /// threads, and the reports merge deterministically. Scoring stays
-    /// bit-deterministic at every shard count, but the count is part of
-    /// the scored scenario — tenants on different shards no longer
-    /// contend for one fabric — so compare frontiers only across runs
-    /// that agree on it. The default (1) is the classic fully-contended
-    /// single timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a simulation needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// The shard count scoring simulations run with (default 1).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The fault spec the reliability objectives simulate under.
@@ -299,59 +259,40 @@ impl RuntimeEvaluator {
     /// absolute rate), so identical `(candidate, platform)`
     /// inputs produce bit-identical metrics.
     pub fn score(&self, candidate: &AppProfile, platform: &Platform) -> ContentionMetrics {
-        let mut profiles = Vec::with_capacity(1 + self.background.len());
-        profiles.push(candidate.clone());
-        profiles.extend(self.background.iter().cloned());
-        let mut spec = WorkloadSpec::uniform(self.seed, self.njobs, &profiles, self.load_percent);
-        if let Some(arrival) = self.arrival {
-            spec.mean_interarrival = arrival;
-        }
-        let plan = self.regions.map(|n| {
-            RegionPlan::new(
-                &profiles,
-                &FabricGrid::uniform(platform.fpga.usable_area(), n),
-            )
-        });
-        let mut base = Simulation::new(platform)
-            .profiles(&profiles)
-            .policy(self.policy.as_ref())
-            .config(self.sim)
-            .shards(self.shards);
-        if let Some(plan) = plan.as_ref() {
-            base = base.regions(plan);
-        }
-        let report = base.run_mix(&spec);
-        let (p95_under_faults, degraded_permille) = if self.faults.is_none() {
-            // No faulted re-simulation: the reliability objectives
-            // degenerate to the clean p95 and a zero degraded share.
-            (report.p95_latency, 0)
-        } else {
-            let faulted = base
-                .faults(self.faults)
-                .recovery(self.recovery)
-                .run_mix(&spec);
-            let share = if faulted.completed() == 0 {
-                1000
+        self.with_mix(candidate, platform, |base, spec| {
+            let report = base.run_mix(spec);
+            let (p95_under_faults, degraded_permille) = if self.faults.is_none() {
+                // No faulted re-simulation: the reliability objectives
+                // degenerate to the clean p95 and a zero degraded share.
+                (report.p95_latency, 0)
             } else {
-                faulted.reliability.degraded * 1000 / faulted.completed()
+                let faulted = base
+                    .faults(self.faults)
+                    .recovery(self.recovery)
+                    .run_mix(spec);
+                let share = if faulted.completed() == 0 {
+                    1000
+                } else {
+                    faulted.reliability.degraded * 1000 / faulted.completed()
+                };
+                (faulted.p95_latency, share)
             };
-            (faulted.p95_latency, share)
-        };
-        let completed = report.completed();
-        ContentionMetrics {
-            p95_latency: report.p95_latency,
-            cycles_per_job: if completed == 0 {
-                u64::MAX
-            } else {
-                report.makespan.div_ceil(completed)
-            },
-            completed,
-            rejected: report.rejected(),
-            makespan: report.makespan,
-            reconfig_stall_cycles: report.reconfig_stall_cycles,
-            p95_under_faults,
-            degraded_permille,
-        }
+            let completed = report.completed();
+            ContentionMetrics {
+                p95_latency: report.p95_latency,
+                cycles_per_job: if completed == 0 {
+                    u64::MAX
+                } else {
+                    report.makespan.div_ceil(completed)
+                },
+                completed,
+                rejected: report.rejected(),
+                makespan: report.makespan,
+                reconfig_stall_cycles: report.reconfig_stall_cycles,
+                p95_under_faults,
+                degraded_permille,
+            }
+        })
     }
 
     /// Re-run the scoring simulation for `candidate` on `platform` with
@@ -369,6 +310,25 @@ impl RuntimeEvaluator {
         platform: &Platform,
         sink: &dyn TraceSink,
     ) {
+        self.with_mix(candidate, platform, |sim, spec| {
+            let mut sim = sim.trace(sink);
+            if !self.faults.is_none() {
+                sim = sim.faults(self.faults).recovery(self.recovery);
+            }
+            sim.run_mix(spec);
+        });
+    }
+
+    /// Build the scored scenario — `candidate` first, then the
+    /// background tenants, the seeded workload spec and, under region
+    /// reconfiguration, the mix's joint floorplan on `platform` — and
+    /// hand `play` the fault-free simulation of it.
+    fn with_mix<R>(
+        &self,
+        candidate: &AppProfile,
+        platform: &Platform,
+        play: impl FnOnce(Simulation<'_>, &WorkloadSpec) -> R,
+    ) -> R {
         let mut profiles = Vec::with_capacity(1 + self.background.len());
         profiles.push(candidate.clone());
         profiles.extend(self.background.iter().cloned());
@@ -384,17 +344,11 @@ impl RuntimeEvaluator {
         });
         let mut sim = Simulation::new(platform)
             .profiles(&profiles)
-            .policy(self.policy.as_ref())
-            .config(self.sim)
-            .shards(self.shards)
-            .trace(sink);
+            .policy(self.policy.as_ref());
         if let Some(plan) = plan.as_ref() {
             sim = sim.regions(plan);
         }
-        if !self.faults.is_none() {
-            sim = sim.faults(self.faults).recovery(self.recovery);
-        }
-        sim.run_mix(&spec);
+        play(sim, &spec)
     }
 
     /// Build the candidate [`AppProfile`] of one design point from its
@@ -456,10 +410,10 @@ mod tests {
         let candidate = evaluator().candidate_profile("cand", 5_000, 1_000, 200, vec![300, 200]);
         let platform = Platform::paper(1500, 2);
         let scalar = evaluator().score(&candidate, &platform);
-        let full = evaluator().with_region_reconfig(1);
-        assert_eq!(full.region_reconfig(), Some(1));
         assert_eq!(
-            full.score(&candidate, &platform),
+            evaluator()
+                .with_region_reconfig(1)
+                .score(&candidate, &platform),
             scalar,
             "a full-fabric region plan must not perturb scoring"
         );
@@ -517,28 +471,6 @@ mod tests {
             faulted,
             faulted_rt.score(&candidate, &platform),
             "faulted scoring is deterministic"
-        );
-    }
-
-    #[test]
-    fn sharded_scoring_is_deterministic_and_work_conserving() {
-        let candidate = evaluator().candidate_profile("cand", 5_000, 1_000, 200, vec![300, 200]);
-        let platform = Platform::paper(1500, 2);
-        let unsharded = evaluator().score(&candidate, &platform);
-        let sharded_rt = evaluator().with_shards(2);
-        assert_eq!(sharded_rt.shards(), 2);
-        let a = sharded_rt.score(&candidate, &platform);
-        let b = sharded_rt.score(&candidate, &platform);
-        assert_eq!(a, b, "sharded scoring replays bit-for-bit");
-        assert_eq!(
-            a.completed + a.rejected,
-            unsharded.completed + unsharded.rejected,
-            "every job is disposed of under any shard count"
-        );
-        // One shard is the classic single timeline, bit for bit.
-        assert_eq!(
-            evaluator().with_shards(1).score(&candidate, &platform),
-            unsharded
         );
     }
 

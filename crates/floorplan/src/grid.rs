@@ -9,6 +9,7 @@
 //! is bit-reproducible from `(usable_area, rows, cols)` alone.
 
 use amdrel_finegrain::{FpgaConfigKey, FpgaDevice};
+use std::fmt;
 
 /// Integer square root (largest `r` with `r² ≤ n`), by Newton iteration.
 fn isqrt(n: u64) -> u64 {
@@ -93,6 +94,53 @@ impl Region {
     }
 }
 
+/// Why a region grid cannot be laid on a usable area
+/// ([`FabricGrid::try_shaped`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum GridError {
+    /// The usable area is zero.
+    ZeroArea,
+    /// A grid dimension is zero.
+    ZeroDimension,
+    /// The quantised rectangle has fewer cell rows or columns than the
+    /// grid has regions in that dimension.
+    TooFewCells {
+        /// The usable area that was quantised.
+        usable_area: u64,
+        /// Requested region rows.
+        rows: usize,
+        /// Requested region columns.
+        cols: usize,
+        /// Quantised rectangle width, in cells.
+        width: u64,
+        /// Quantised rectangle height, in cells.
+        height: u64,
+    },
+}
+
+impl fmt::Display for GridError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GridError::ZeroArea => f.write_str("usable area must be positive"),
+            GridError::ZeroDimension => f.write_str("region grid dimensions must be positive"),
+            GridError::TooFewCells {
+                usable_area,
+                rows,
+                cols,
+                width,
+                height,
+            } => write!(
+                f,
+                "a {rows}x{cols} region grid needs at least {rows}x{cols} cells, \
+                 but {usable_area} area units quantise to {width}x{height}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
+
 /// The fine-grain fabric as a 2D grid of reconfigurable regions.
 ///
 /// # Examples
@@ -145,22 +193,37 @@ impl FabricGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `usable_area` is zero, either dimension is zero, or
-    /// the rectangle cannot give every region at least one cell in each
-    /// dimension.
+    /// Panics with the [`GridError`] [`FabricGrid::try_shaped`] returns.
     pub fn shaped(usable_area: u64, rows: usize, cols: usize) -> FabricGrid {
-        assert!(usable_area > 0, "usable area must be positive");
-        assert!(
-            rows > 0 && cols > 0,
-            "region grid dimensions must be positive"
-        );
+        FabricGrid::try_shaped(usable_area, rows, cols).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FabricGrid::shaped`] without the panic: the quantisation rule
+    /// in one place, for callers that must validate untrusted sizes.
+    ///
+    /// # Errors
+    ///
+    /// A [`GridError`] if `usable_area` is zero, either dimension is
+    /// zero, or the rectangle cannot give every region at least one
+    /// cell in each dimension.
+    pub fn try_shaped(usable_area: u64, rows: usize, cols: usize) -> Result<FabricGrid, GridError> {
+        if usable_area == 0 {
+            return Err(GridError::ZeroArea);
+        }
+        if rows == 0 || cols == 0 {
+            return Err(GridError::ZeroDimension);
+        }
         let width = ceil_sqrt(usable_area);
         let height = usable_area.div_ceil(width);
-        assert!(
-            rows as u64 <= height && cols as u64 <= width,
-            "a {rows}x{cols} region grid needs at least {rows}x{cols} cells, \
-             but {usable_area} area units quantise to {width}x{height}"
-        );
+        if rows as u64 > height || cols as u64 > width {
+            return Err(GridError::TooFewCells {
+                usable_area,
+                rows,
+                cols,
+                width,
+                height,
+            });
+        }
         let col_edges = split_edges(width, cols as u64);
         let row_edges = split_edges(height, rows as u64);
         let mut regions = Vec::with_capacity(rows * cols);
@@ -175,13 +238,13 @@ impl FabricGrid {
                 });
             }
         }
-        FabricGrid {
+        Ok(FabricGrid {
             width,
             height,
             rows: rows as u32,
             cols: cols as u32,
             regions,
-        }
+        })
     }
 
     /// [`FabricGrid::uniform`] over a device's routable area.
@@ -389,5 +452,32 @@ mod tests {
     #[should_panic(expected = "usable area")]
     fn zero_area_panics() {
         let _ = FabricGrid::full(0);
+    }
+
+    #[test]
+    fn try_shaped_reports_what_shaped_would_panic_on() {
+        assert_eq!(FabricGrid::try_shaped(0, 1, 1), Err(GridError::ZeroArea));
+        assert_eq!(
+            FabricGrid::try_shaped(1050, 0, 2),
+            Err(GridError::ZeroDimension)
+        );
+        // 1050 units quantise to a 33x32 rectangle: 32 bands fit, 33 do not.
+        assert_eq!(
+            FabricGrid::try_shaped(1050, 32, 1),
+            Ok(FabricGrid::uniform(1050, 32))
+        );
+        let err = FabricGrid::try_shaped(1050, 33, 1).unwrap_err();
+        assert_eq!(
+            err,
+            GridError::TooFewCells {
+                usable_area: 1050,
+                rows: 33,
+                cols: 1,
+                width: 33,
+                height: 32
+            }
+        );
+        assert!(err.to_string().contains("region grid needs"), "{err}");
+        assert!(FabricGrid::try_shaped(1050, 1, 34).is_err());
     }
 }

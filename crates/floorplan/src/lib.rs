@@ -51,7 +51,7 @@
 mod grid;
 mod planner;
 
-pub use grid::{FabricGrid, Region, RegionConfigKey};
+pub use grid::{FabricGrid, GridError, Region, RegionConfigKey};
 pub use planner::{
     footprints_of, Floorplanner, Footprint, FragmentationStats, PlacedRect, Placement,
 };

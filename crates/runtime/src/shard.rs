@@ -56,8 +56,8 @@ use amdrel_trace::{TraceBuffer, TraceSink};
 
 /// The shard partition function: application `app` lives on shard
 /// `app % shards`. Deterministic, total, and independent of the job
-/// stream — the same function the sharded benches use to pre-partition
-/// work for serial per-shard timing.
+/// stream — the same function `tests/shard_properties.rs` uses to build
+/// each shard's subsequence for its differential checks.
 ///
 /// # Panics
 ///

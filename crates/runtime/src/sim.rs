@@ -50,8 +50,7 @@
 //!
 //! [`Simulation`] is the builder facade every consumer routes through —
 //! the CLI, `amdrel-explore`'s contention scorer, the case-study crates
-//! and the benches. The historical free functions [`run_simulation`] and
-//! [`simulate_mix`] remain as thin deprecated shims over it.
+//! and the benchmark.
 
 use crate::fault::{permille_of, FaultSpec, RecoveryPolicy};
 use crate::policy::{Fcfs, SchedulePolicy};
@@ -856,7 +855,7 @@ impl<'a> Engine<'a> {
 /// The simulation entry point: a builder over everything a run needs.
 ///
 /// All consumers — the CLI, `amdrel-explore`'s contention scorer, the
-/// case studies and the benches — route through this facade, so new
+/// case studies and the benchmark — route through this facade, so new
 /// knobs land as builder methods instead of another positional parameter
 /// on a free function. The platform is the only required argument;
 /// profiles default to empty, the policy to [`Fcfs`], the knobs to
@@ -1139,86 +1138,6 @@ impl<'a> Simulation<'a> {
     pub fn run_mix(&self, spec: &WorkloadSpec) -> RuntimeReport {
         self.run_streaming(spec.generate_streaming(self.profiles))
     }
-}
-
-/// Play `jobs` (from [`WorkloadSpec::generate`]) against `platform`
-/// under `policy`.
-///
-/// # Deprecated
-///
-/// Route through the [`Simulation`] builder instead:
-///
-/// ```
-/// use amdrel_core::Platform;
-/// use amdrel_runtime::{AppProfile, Fcfs, SimConfig, Simulation, WorkloadSpec};
-///
-/// let profiles = vec![AppProfile::synthetic("app", 0, 5_000, 1_000, vec![400])];
-/// let platform = Platform::paper(1500, 2);
-/// let jobs = WorkloadSpec::uniform(42, 32, &profiles, 110).generate(&profiles);
-/// let report = Simulation::new(&platform)
-///     .profiles(&profiles)
-///     .policy(&Fcfs)
-///     .config(SimConfig::default())
-///     .run(&jobs);
-/// assert_eq!(report.arrived(), 32);
-/// ```
-///
-/// # Panics
-///
-/// As [`Simulation::run`].
-#[deprecated(note = "route through the `Simulation` builder: \
-                     `Simulation::new(platform).profiles(..).policy(..).run(jobs)`")]
-pub fn run_simulation(
-    profiles: &[AppProfile],
-    jobs: &[Job],
-    platform: &Platform,
-    policy: &dyn SchedulePolicy,
-    config: &SimConfig,
-) -> RuntimeReport {
-    Simulation::new(platform)
-        .profiles(profiles)
-        .policy(policy)
-        .config(*config)
-        .run(jobs)
-}
-
-/// One-shot convenience: generate `spec`'s seeded job stream against
-/// `profiles` and play it.
-///
-/// # Deprecated
-///
-/// Route through the [`Simulation`] builder instead:
-///
-/// ```
-/// use amdrel_core::Platform;
-/// use amdrel_runtime::{AppProfile, Fcfs, Simulation, WorkloadSpec};
-///
-/// let profiles = vec![AppProfile::synthetic("app", 0, 5_000, 1_000, vec![400])];
-/// let spec = WorkloadSpec::uniform(42, 32, &profiles, 110);
-/// let report = Simulation::new(&Platform::paper(1500, 2))
-///     .profiles(&profiles)
-///     .policy(&Fcfs)
-///     .run_mix(&spec);
-/// assert_eq!(report.arrived(), 32);
-/// ```
-///
-/// # Panics
-///
-/// As [`Simulation::run_mix`].
-#[deprecated(note = "route through the `Simulation` builder: \
-                     `Simulation::new(platform).profiles(..).policy(..).run_mix(spec)`")]
-pub fn simulate_mix(
-    profiles: &[AppProfile],
-    spec: &WorkloadSpec,
-    platform: &Platform,
-    policy: &dyn SchedulePolicy,
-    config: &SimConfig,
-) -> RuntimeReport {
-    Simulation::new(platform)
-        .profiles(profiles)
-        .policy(policy)
-        .config(*config)
-        .run_mix(spec)
 }
 
 /// The retained `BinaryHeap` event core, kept verbatim as the
@@ -1593,20 +1512,6 @@ mod tests {
         );
         expect.queue = swapped.queue;
         assert_eq!(swapped, expect);
-    }
-
-    #[test]
-    fn deprecated_shims_route_through_the_builder() {
-        let p = vec![profile("a", 100, 40, vec![30])];
-        let jobs = vec![job(0, 0, 5, 100, 40, &p[0].config)];
-        let pf = platform();
-        #[allow(deprecated)]
-        let shim = run_simulation(&p, &jobs, &pf, &Fcfs, &SimConfig::default());
-        assert_eq!(shim, sim(&p, &pf).run(&jobs));
-        let spec = WorkloadSpec::uniform(7, 24, &p, 110);
-        #[allow(deprecated)]
-        let shim = simulate_mix(&p, &spec, &pf, &Fcfs, &SimConfig::default());
-        assert_eq!(shim, sim(&p, &pf).run_mix(&spec));
     }
 
     /// The engine is bit-identical (full `RuntimeReport`) to the

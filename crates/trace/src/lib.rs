@@ -8,8 +8,9 @@
 //!   emission order. The simulator is single-threaded and consumes no
 //!   randomness beyond its seeded streams, so a trace is bit-identical
 //!   on every run of the same scenario — and attaching a sink never
-//!   changes the simulated outcome (the observer-effect guard in
-//!   `crates/bench/benches/trace_overhead.rs` enforces this).
+//!   changes the simulated outcome (the property test
+//!   `tracing_is_a_pure_observer_and_bit_deterministic` in
+//!   `crates/runtime/tests/properties.rs` enforces this).
 //! * **Exporters** ([`chrome_trace`], [`text_timeline`],
 //!   [`resource_gantt`]) — pure functions from an event list to a
 //!   string: Chrome trace-event / Perfetto JSON (`amdrel-trace/v1`),

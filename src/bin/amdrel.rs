@@ -334,6 +334,9 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                 opts.cgcs = value_of("--cgcs")?
                     .parse()
                     .map_err(|e| format!("--cgcs: {e}"))?;
+                if opts.cgcs == 0 {
+                    return Err("--cgcs must be a positive CGC count".to_owned());
+                }
             }
             "--areas" => {
                 opts.areas = value_of("--areas")?
@@ -344,10 +347,10 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
             "--cgc-list" => {
                 opts.cgc_list = value_of("--cgc-list")?
                     .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("--cgc-list: {e}"))
+                    .map(|s| match s.trim().parse::<usize>() {
+                        Ok(0) => Err("--cgc-list entries must be positive CGC counts".to_owned()),
+                        Ok(k) => Ok(k),
+                        Err(e) => Err(format!("--cgc-list: {e}")),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
             }
@@ -556,6 +559,23 @@ fn region_grid(opts: &Options) -> Result<Option<(usize, usize)>, String> {
     }))
 }
 
+/// Reject a workload whose worst-case last arrival — every one of the
+/// `njobs` gaps drawn at its maximum, `2 · mean_interarrival` — would
+/// overflow the `u64` cycle clock.
+fn check_arrival_horizon(mean_interarrival: u64, njobs: usize) -> Result<(), String> {
+    u64::try_from(njobs)
+        .ok()
+        .and_then(|jobs| jobs.checked_mul(2))
+        .and_then(|gaps| gaps.checked_mul(mean_interarrival))
+        .map(|_| ())
+        .ok_or_else(|| {
+            format!(
+                "{njobs} jobs at a mean inter-arrival of {mean_interarrival} cycles \
+                 overflow the cycle clock (2 · arrival · njobs must fit in 64 bits)"
+            )
+        })
+}
+
 /// Build the fault-injection spec and recovery policy selected on the
 /// command line. `--fault-rate 0` with no `--deadline` yields
 /// [`FaultSpec::none`], which the simulator treats as exactly the
@@ -740,7 +760,19 @@ fn run(args: Vec<String>) -> Result<(), String> {
                         .to_owned(),
                 );
             }
-            let region = region_grid(&opts)?;
+            if objectives.needs_runtime() && opts.njobs == 0 {
+                return Err(
+                    "--njobs must be positive when a runtime objective is selected".to_owned(),
+                );
+            }
+            // Explore lays its regions as `rows · cols` horizontal bands.
+            let bands = match region_grid(&opts)? {
+                Some((rows, cols)) => Some(
+                    rows.checked_mul(cols)
+                        .ok_or("--region-shape: too many regions")?,
+                ),
+                None => None,
+            };
             let (program, analysis) = analyzed(&opts)?;
             let strategy: Box<dyn SearchStrategy> = match opts.strategy.as_str() {
                 "exhaustive" => Box::new(Exhaustive),
@@ -755,6 +787,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let mut base = Platform::paper(opts.areas[0], opts.cgc_list[0]);
             if opts.reconfig.as_deref() == Some("free") {
                 base = base.with_reconfig(ReconfigModel::free());
+            }
+            if let Some(bands) = bands {
+                for &area in &opts.areas {
+                    let mut fpga = base.fpga.clone();
+                    fpga.total_area = area;
+                    FabricGrid::try_shaped(fpga.usable_area(), bands, 1)
+                        .map_err(|e| format!("--regions/--region-shape: {e} (--areas {area})"))?;
+                }
             }
             let cache = MappingCache::new();
             // Contention-aware objectives score each candidate platform
@@ -775,6 +815,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 // traffic, not traffic scaled to its own speed.
                 let load = opts.load.unwrap_or(130);
                 let arrival = WorkloadSpec::mean_interarrival_for(&background, load);
+                check_arrival_horizon(arrival, opts.njobs)?;
                 let (faults, recovery) = fault_config(&opts);
                 let mut rt = RuntimeEvaluator::new(background, policy)
                     .with_seed(opts.seed)
@@ -783,8 +824,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     .with_arrival(arrival)
                     .with_faults(faults)
                     .with_recovery(recovery);
-                if let Some((rows, cols)) = region {
-                    rt = rt.with_region_reconfig(rows * cols);
+                if let Some(bands) = bands {
+                    rt = rt.with_region_reconfig(bands);
                 }
                 Some(rt)
             } else {
@@ -824,8 +865,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 &cache,
             )
             .with_objectives(objectives);
-            if let Some((rows, cols)) = region {
-                evaluator = evaluator.with_regions(rows * cols);
+            if let Some(bands) = bands {
+                evaluator = evaluator.with_regions(bands);
             }
             if let Some(rt) = &contention {
                 evaluator = evaluator.with_runtime(rt);
@@ -879,6 +920,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
             if opts.reconfig.as_deref() == Some("free") {
                 platform = platform.with_reconfig(ReconfigModel::free());
             }
+            let grid = match region {
+                Some((rows, cols)) => Some(
+                    FabricGrid::try_shaped(platform.fpga.usable_area(), rows, cols)
+                        .map_err(|e| format!("--regions/--region-shape: {e}"))?,
+                ),
+                None => None,
+            };
             let selected: Vec<String> = if opts.apps.is_empty() {
                 vec!["ofdm".to_owned(), "jpeg".to_owned(), "sobel".to_owned()]
             } else {
@@ -912,6 +960,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             if let Some(arrival) = opts.arrival {
                 spec.mean_interarrival = arrival;
             }
+            check_arrival_horizon(spec.mean_interarrival, opts.njobs)?;
             let sketch = SketchMode::parse(&opts.sketch).ok_or_else(|| {
                 format!(
                     "unknown sketch mode '{}' (expected auto, exact or sketched)",
@@ -921,12 +970,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let (faults, recovery) = fault_config(&opts);
             // The joint floorplan is frozen before the simulation starts,
             // so region mode stays a pure function of the flag values.
-            let plan = region.map(|(rows, cols)| {
-                RegionPlan::new(
-                    &profiles,
-                    &FabricGrid::shaped(platform.fpga.usable_area(), rows, cols),
-                )
-            });
+            let plan = grid.map(|grid| RegionPlan::new(&profiles, &grid));
             // `--queue-bound 0` keeps its historical meaning: unbounded.
             let mut sim = Simulation::new(&platform)
                 .profiles(&profiles)

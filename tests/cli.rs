@@ -234,6 +234,99 @@ fn malformed_flags_exit_nonzero_with_usage() {
     assert!(!ok);
     assert!(stderr.contains("--budget"), "{stderr}");
     assert!(stderr.contains("usage: amdrel"), "{stderr}");
+
+    // Out-of-range values are refused up front, never reached as a panic
+    // deep in the library: exit status 1, an `error:` naming the value,
+    // and the usage line.
+    let src = src.to_str().unwrap();
+    let refused: [(&[&str], &str); 11] = [
+        (
+            &["explore", src, "--objectives", "cycles,p95", "--njobs", "0"],
+            "--njobs",
+        ),
+        (&["simulate", "--cgcs", "0"], "--cgcs"),
+        (
+            &["partition", src, "--constraint", "100", "--cgcs", "0"],
+            "--cgcs",
+        ),
+        (
+            &["sweep", src, "--constraint", "100", "--cgc-list", "2,0"],
+            "--cgc-list",
+        ),
+        (&["explore", src, "--cgc-list", "0"], "--cgc-list"),
+        (&["simulate", "--regions", "100000"], "region grid"),
+        (&["simulate", "--region-shape", "40x40"], "region grid"),
+        (
+            &[
+                "explore",
+                src,
+                "--objectives",
+                "cycles,p95",
+                "--regions",
+                "100000",
+            ],
+            "region grid",
+        ),
+        (
+            &["explore", src, "--areas", "5000,1500", "--regions", "33"],
+            "--areas 1500",
+        ),
+        (
+            &[
+                "simulate",
+                "--arrival",
+                "9223372036854775808",
+                "--njobs",
+                "2",
+            ],
+            "overflow",
+        ),
+        (
+            &[
+                "simulate",
+                "--arrival",
+                "18446744073709551615",
+                "--njobs",
+                "10",
+            ],
+            "overflow",
+        ),
+    ];
+    for (args, named) in refused {
+        let out = Command::new(env!("CARGO_BIN_EXE_amdrel"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: amdrel"), "{args:?}: {stderr}");
+    }
+
+    // The limits are exact: the largest fitting grid and arrival horizon
+    // still run.
+    let (ok, _, stderr) = amdrel(&[
+        "simulate",
+        "--app",
+        "ofdm",
+        "--njobs",
+        "4",
+        "--regions",
+        "32",
+    ]);
+    assert!(ok, "32 bands fit the 33x32 quantised fabric: {stderr}");
+    let (ok, _, stderr) = amdrel(&[
+        "simulate",
+        "--app",
+        "ofdm",
+        "--arrival",
+        "9223372036854775807",
+        "--njobs",
+        "1",
+    ]);
+    assert!(ok, "2 · (2^63 - 1) · 1 fits the cycle clock: {stderr}");
 }
 
 #[test]

@@ -2,16 +2,15 @@
 //! baselines straight from library calls — not through the CLI and not
 //! through `examples/bench_report.rs` — so a drift in any committed
 //! number (or in the simulator behind it) fails here with the exact
-//! field named. Wall-clock fields (`mean_ns`, `*_jobs_per_sec`,
-//! `throughput_ratio`, `scale_up`, `agg_speedup`) are machine-local by
-//! design and are only checked for presence, never for value.
+//! field named. The files hold no wall-clock field: timing lives in
+//! `perfbench/`.
 //!
 //! The committed files are hand-emitted JSON with a fixed shape (the
 //! offline vendor set has no serde_json), so field access here is a
 //! small brace-matching extractor rather than a full parser.
 
 use amdrel::prelude::*;
-use amdrel_bench::synthetic_tenants;
+use amdrel_bench::{ofdm_prepared, synthetic_tenants};
 
 fn load(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/").to_owned() + name;
@@ -97,48 +96,15 @@ fn standard_setup() -> (Platform, Vec<AppProfile>, WorkloadSpec) {
 }
 
 #[test]
-fn bench_engine_rows_are_the_expected_set() {
-    let json = load("BENCH_engine.json");
-    assert_eq!(str_field(&json, "schema"), "amdrel-bench-report/v1");
-    assert_eq!(str_field(&json, "unit"), "mean ns per op");
-    let names: Vec<&str> = objects_in(section(&json, "benches"))
-        .iter()
-        .map(|row| str_field(row, "name"))
-        .collect();
-    assert_eq!(
-        names,
-        [
-            "engine/run_ofdm_a1500_c2_warm",
-            "engine/move_loop_512_blocks_warm",
-            "engine/per_move_512_blocks_warm",
-            "sweep/run_grid_cached_cold",
-            "sweep/run_grid_parallel_cold",
-            "sweep/run_grid_warm_cache",
-            "explore/exhaustive",
-            "explore/random",
-            "explore/sa",
-            "explore/contention_exhaustive",
-            "runtime/fcfs_400_jobs",
-            "runtime/fcfs_1m_jobs_32_tenants",
-            "runtime/fcfs_1m_jobs_8_shards",
-            "floorplan/place_standard_mix_4_regions",
-        ],
-        "the committed perf-row set drifted from bench_report"
-    );
-    for row in objects_in(section(&json, "benches")) {
-        assert!(
-            raw(row, "mean_ns").parse::<f64>().unwrap() > 0.0,
-            "{} has a non-positive mean",
-            str_field(row, "name")
-        );
-        assert!(u64_field(row, "iters") >= 1);
-    }
-}
-
-#[test]
 fn bench_runtime_policy_rows_replay_from_the_library() {
     let json = load("BENCH_runtime.json");
-    assert_eq!(str_field(&json, "schema"), "amdrel-runtime-report/v5");
+    assert_eq!(str_field(&json, "schema"), "amdrel-runtime-report/v6");
+    for key in ["_per_sec", "throughput_ratio", "scale_up", "agg_speedup"] {
+        assert!(
+            !json.contains(key),
+            "v6 carries no wall-clock field: found '{key}'"
+        );
+    }
     let (platform, profiles, spec) = standard_setup();
     let workload = section(&json, "workload");
     assert_eq!(u64_field(workload, "seed"), spec.seed);
@@ -360,31 +326,12 @@ fn bench_runtime_scaling_and_sharded_rows_replay_from_the_library() {
     );
 }
 
-/// Compile the OFDM case study once for both explore replays.
-fn ofdm_setup() -> (
-    amdrel::apps::Workload,
-    amdrel_minic::CompiledProgram,
-    AnalysisReport,
-) {
-    let workload = ofdm::workload(2004);
-    let program = compile(&workload.source, "main").expect("ofdm compiles");
-    let execution = Interpreter::new(&program.ir)
-        .run(&workload.input_refs())
-        .expect("ofdm runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    (workload, program, analysis)
-}
-
 #[test]
 fn bench_explore_strategy_rows_replay_from_the_library() {
     let json = load("BENCH_explore.json");
     assert_eq!(str_field(&json, "schema"), "amdrel-explore-report/v1");
-    let (workload, program, analysis) = ofdm_setup();
-    assert_eq!(str_field(&json, "app"), workload.name);
+    let app = ofdm_prepared();
+    assert_eq!(str_field(&json, "app"), app.name);
     let space = ofdm::design_space();
     let header = section(&json, "space");
     assert_eq!(u64_field(header, "points"), space.len() as u64);
@@ -407,9 +354,9 @@ fn bench_explore_strategy_rows_replay_from_the_library() {
         };
         let cache = MappingCache::new();
         let evaluator = Evaluator::new(
-            &workload.name,
-            &program.cdfg,
-            &analysis,
+            &app.name,
+            &app.program.cdfg,
+            &app.analysis,
             &platform,
             EnergyModel::default(),
             &cache,
@@ -447,8 +394,8 @@ fn bench_explore_contention_frontiers_replay_from_the_library() {
         str_field(&json, "schema"),
         "amdrel-explore-contention-report/v1"
     );
-    let (workload, program, analysis) = ofdm_setup();
-    assert_eq!(str_field(&json, "app"), workload.name);
+    let app = ofdm_prepared();
+    assert_eq!(str_field(&json, "app"), app.name);
     let platform = Platform::paper(1500, 2);
     let contention =
         amdrel::apps::runtime::contention_evaluator("ofdm", &platform).expect("evaluator builds");
@@ -466,18 +413,18 @@ fn bench_explore_contention_frontiers_replay_from_the_library() {
     let objectives = ObjectiveSet::parse("cycles,area,energy,p95").unwrap();
     let shared_cache = MappingCache::new();
     let static_eval = Evaluator::new(
-        &workload.name,
-        &program.cdfg,
-        &analysis,
+        &app.name,
+        &app.program.cdfg,
+        &app.analysis,
         &platform,
         EnergyModel::default(),
         &shared_cache,
     );
     let static_frontier = explore(&static_eval, &space, &Exhaustive, &config).unwrap();
     let contention_eval = Evaluator::new(
-        &workload.name,
-        &program.cdfg,
-        &analysis,
+        &app.name,
+        &app.program.cdfg,
+        &app.analysis,
         &platform,
         EnergyModel::default(),
         &shared_cache,
