@@ -11,11 +11,39 @@
 //! out-of-bounds array accesses abort with a [`ProfileError`], as does
 //! exceeding the configurable step budget (which turns accidental infinite
 //! loops into errors instead of hangs).
+//!
+//! # Execution model
+//!
+//! * **Decode once.** [`Interpreter::new`] flattens the entry function
+//!   into one array of 16-byte ops, one per IR instruction, with every
+//!   operand a register index: the variables come first, then one
+//!   pre-loaded register per distinct constant. Global and local arrays
+//!   share one index space, globals first. A run then never matches on
+//!   an [`Operand`] or an [`ArrayRef`].
+//! * **Blocks own op ranges.** Each block runs its ops back to back.
+//!   When a block ends in a comparison whose result feeds its
+//!   `Branch`, the two become one terminator that compares, still
+//!   writes the comparison's variable, and jumps: the shape every
+//!   counted loop's condition lowers to.
+//! * **The budget is charged per block.** A block that fits in what is
+//!   left of the step budget retires all its instructions at once. Only
+//!   the block that would cross it runs instruction by instruction, up
+//!   to the limit, so a fault before the limit still wins and every
+//!   [`ProfileError`] is the one a per-instruction count would give.
+//! * **Each global stays its own array.** A global is a zeroed `Vec`
+//!   whose pages the allocator leaves unmapped until the program touches
+//!   them, and the run moves it into [`Execution::globals`] uncopied.
+//!   The 256×256 JPEG encoder's 1.8M-element bitstream buffer touches
+//!   about 94 pages of it; one flat memory built by copying would make
+//!   all 14 MB resident.
 
 use crate::ProfileError;
 use amdrel_minic::ast::{BinOp, UnOp};
-use amdrel_minic::ir::{ArrayRef, Instr, IrProgram, Operand, Terminator};
+use amdrel_minic::ir::{self, ArrayRef, Function, Instr, IrProgram, Operand, Terminator};
 use std::collections::HashMap;
+
+#[cfg(test)]
+mod oracle;
 
 /// Result of one interpreted run.
 #[derive(Debug, Clone)]
@@ -60,18 +88,248 @@ impl Execution {
 pub struct Interpreter<'p> {
     ir: &'p IrProgram,
     step_limit: u64,
+    /// Every block's body, back to back.
+    ops: Vec<Op>,
+    /// Indexed by IR block index.
+    blocks: Vec<Block>,
+    /// The register file a run starts from: zeroed variables, then the
+    /// constants.
+    regs: Vec<i64>,
 }
 
 /// Default instruction budget: generous enough for a 256×256 JPEG encode,
 /// small enough to stop runaways in seconds.
 pub const DEFAULT_STEP_LIMIT: u64 = 500_000_000;
 
+/// One decoded instruction. Register operands are `(dst, lhs, rhs)` or
+/// `(dst, src)`; `array` indexes the run's arrays, globals first.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Add(u32, u32, u32),
+    Sub(u32, u32, u32),
+    Mul(u32, u32, u32),
+    Div(u32, u32, u32),
+    Rem(u32, u32, u32),
+    And(u32, u32, u32),
+    Or(u32, u32, u32),
+    Xor(u32, u32, u32),
+    Shl(u32, u32, u32),
+    Shr(u32, u32, u32),
+    Cmp(Cmp, u32, u32, u32),
+    Neg(u32, u32),
+    BitNot(u32, u32),
+    Not(u32, u32),
+    Copy(u32, u32),
+    Load { dst: u32, array: u32, index: u32 },
+    Store { array: u32, index: u32, value: u32 },
+}
+
+/// A comparison operator.
+#[derive(Debug, Clone, Copy)]
+enum Cmp {
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Eq,
+    Ne,
+}
+
+impl Cmp {
+    fn holds(self, a: i64, b: i64) -> bool {
+        match self {
+            Cmp::Lt => a < b,
+            Cmp::Le => a <= b,
+            Cmp::Gt => a > b,
+            Cmp::Ge => a >= b,
+            Cmp::Eq => a == b,
+            Cmp::Ne => a != b,
+        }
+    }
+}
+
+/// A decoded basic block.
+#[derive(Debug)]
+struct Block {
+    /// `ops[start..end]` is the body, a fused comparison excluded.
+    start: u32,
+    end: u32,
+    /// IR instructions the block retires: the body plus a fused
+    /// comparison.
+    steps: u64,
+    term: Term,
+}
+
+/// How control leaves a decoded block; targets are block indices.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    Jump(u32),
+    Branch {
+        cond: u32,
+        then_bb: u32,
+        else_bb: u32,
+    },
+    /// `dst = lhs cmp rhs`, then a branch on `dst`.
+    CmpBranch {
+        cmp: Cmp,
+        dst: u32,
+        lhs: u32,
+        rhs: u32,
+        then_bb: u32,
+        else_bb: u32,
+    },
+    Return(Option<u32>),
+}
+
+// Ops are what a run streams through: four to a 64-byte cache line.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
+/// A decode-time index as the `u32` an op stores.
+fn u32_index(i: usize) -> u32 {
+    u32::try_from(i).expect("an IR program indexes fewer than 2^32 items")
+}
+
+/// The decoder's state: the op array so far and the register file,
+/// variables first, then each distinct constant once.
+struct Decoder {
+    ops: Vec<Op>,
+    regs: Vec<i64>,
+    consts: HashMap<i64, u32>,
+    /// Global arrays, which precede the locals in the array index space.
+    globals: usize,
+}
+
+impl Decoder {
+    /// Decode `f` into its op array, blocks and initial register file.
+    fn decode(f: &Function, globals: usize) -> (Vec<Op>, Vec<Block>, Vec<i64>) {
+        let mut d = Decoder {
+            ops: Vec::with_capacity(f.instr_count()),
+            regs: vec![0; f.vars.len()],
+            consts: HashMap::new(),
+            globals,
+        };
+        let blocks = f.blocks.iter().map(|b| d.block(b)).collect();
+        (d.ops, blocks, d.regs)
+    }
+
+    fn block(&mut self, b: &ir::Block) -> Block {
+        let start = self.ops.len();
+        for instr in &b.instrs {
+            let op = self.op(instr);
+            self.ops.push(op);
+        }
+        let term = match b.term {
+            Terminator::Jump(t) => Term::Jump(t.0),
+            Terminator::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            } => match (cond, &self.ops[start..]) {
+                (Operand::Var(v), [.., Op::Cmp(cmp, dst, lhs, rhs)]) if v.0 == *dst => {
+                    let term = Term::CmpBranch {
+                        cmp: *cmp,
+                        dst: *dst,
+                        lhs: *lhs,
+                        rhs: *rhs,
+                        then_bb: then_bb.0,
+                        else_bb: else_bb.0,
+                    };
+                    self.ops.pop();
+                    term
+                }
+                _ => Term::Branch {
+                    cond: self.reg(cond),
+                    then_bb: then_bb.0,
+                    else_bb: else_bb.0,
+                },
+            },
+            Terminator::Return(v) => Term::Return(v.map(|v| self.reg(v))),
+        };
+        Block {
+            start: u32_index(start),
+            end: u32_index(self.ops.len()),
+            steps: b.instrs.len() as u64,
+            term,
+        }
+    }
+
+    fn op(&mut self, instr: &Instr) -> Op {
+        match *instr {
+            Instr::Bin { op, dst, lhs, rhs } => {
+                let (d, a, b) = (dst.0, self.reg(lhs), self.reg(rhs));
+                match op {
+                    BinOp::Add => Op::Add(d, a, b),
+                    BinOp::Sub => Op::Sub(d, a, b),
+                    BinOp::Mul => Op::Mul(d, a, b),
+                    BinOp::Div => Op::Div(d, a, b),
+                    BinOp::Rem => Op::Rem(d, a, b),
+                    BinOp::And => Op::And(d, a, b),
+                    BinOp::Or => Op::Or(d, a, b),
+                    BinOp::Xor => Op::Xor(d, a, b),
+                    BinOp::Shl => Op::Shl(d, a, b),
+                    BinOp::Shr => Op::Shr(d, a, b),
+                    BinOp::Lt => Op::Cmp(Cmp::Lt, d, a, b),
+                    BinOp::Le => Op::Cmp(Cmp::Le, d, a, b),
+                    BinOp::Gt => Op::Cmp(Cmp::Gt, d, a, b),
+                    BinOp::Ge => Op::Cmp(Cmp::Ge, d, a, b),
+                    BinOp::Eq => Op::Cmp(Cmp::Eq, d, a, b),
+                    BinOp::Ne => Op::Cmp(Cmp::Ne, d, a, b),
+                }
+            }
+            Instr::Un { op, dst, src } => {
+                let (d, s) = (dst.0, self.reg(src));
+                match op {
+                    UnOp::Neg => Op::Neg(d, s),
+                    UnOp::BitNot => Op::BitNot(d, s),
+                    UnOp::LogicalNot => Op::Not(d, s),
+                }
+            }
+            Instr::Copy { dst, src } => Op::Copy(dst.0, self.reg(src)),
+            Instr::Load { dst, array, index } => Op::Load {
+                dst: dst.0,
+                array: self.array(array),
+                index: self.reg(index),
+            },
+            Instr::Store {
+                array,
+                index,
+                value,
+            } => Op::Store {
+                array: self.array(array),
+                index: self.reg(index),
+                value: self.reg(value),
+            },
+        }
+    }
+
+    fn reg(&mut self, op: Operand) -> u32 {
+        match op {
+            Operand::Var(v) => v.0,
+            Operand::Const(c) => *self.consts.entry(c).or_insert_with(|| {
+                self.regs.push(c);
+                u32_index(self.regs.len() - 1)
+            }),
+        }
+    }
+
+    fn array(&self, array: ArrayRef) -> u32 {
+        match array {
+            ArrayRef::Global(g) => g,
+            ArrayRef::Local(l) => u32_index(self.globals + l as usize),
+        }
+    }
+}
+
 impl<'p> Interpreter<'p> {
     /// An interpreter with the default step budget.
     pub fn new(ir: &'p IrProgram) -> Self {
+        let (ops, blocks, regs) = Decoder::decode(&ir.entry, ir.globals.len());
         Interpreter {
             ir,
             step_limit: DEFAULT_STEP_LIMIT,
+            ops,
+            blocks,
+            regs,
         }
     }
 
@@ -90,10 +348,9 @@ impl<'p> Interpreter<'p> {
     /// [`ProfileError`] on unknown input names, oversized inputs, division
     /// by zero, out-of-range shifts/indices, or step-budget exhaustion.
     pub fn run(&self, inputs: &[(&str, &[i64])]) -> Result<Execution, ProfileError> {
-        let f = &self.ir.entry;
         // Zeroed allocations stay untouched until used, so a huge, sparsely
         // accessed global costs only the pages the program reaches.
-        let mut globals: Vec<Vec<i64>> = self
+        let mut arrays: Vec<Vec<i64>> = self
             .ir
             .globals
             .iter()
@@ -112,109 +369,152 @@ impl<'p> Interpreter<'p> {
                 .ok_or_else(|| ProfileError::UnknownInput {
                     name: (*name).to_owned(),
                 })?;
-            if data.len() > globals[gi].len() {
+            if data.len() > arrays[gi].len() {
                 return Err(ProfileError::InputTooLong {
                     name: (*name).to_owned(),
                     len: data.len(),
-                    capacity: globals[gi].len(),
+                    capacity: arrays[gi].len(),
                 });
             }
-            globals[gi][..data.len()].copy_from_slice(data);
+            arrays[gi][..data.len()].copy_from_slice(data);
         }
+        arrays.extend(self.ir.entry.arrays.iter().map(|a| vec![0; a.len]));
 
-        let mut locals: Vec<Vec<i64>> = f.arrays.iter().map(|a| vec![0; a.len]).collect();
-        let mut vars: Vec<i64> = vec![0; f.vars.len()];
-        let mut counts = vec![0u64; f.blocks.len()];
+        let mut regs = self.regs.clone();
+        let mut counts = vec![0u64; self.blocks.len()];
         let mut retired: u64 = 0;
-        let mut block = f.entry();
+        let mut block = 0;
         let return_value = loop {
-            counts[block.index()] += 1;
-            let b = &f.blocks[block.index()];
-            for instr in &b.instrs {
-                retired += 1;
-                if retired > self.step_limit {
-                    return Err(ProfileError::StepLimit {
-                        limit: self.step_limit,
-                    });
-                }
-                self.exec_instr(instr, &mut vars, &mut globals, &mut locals)?;
+            counts[block] += 1;
+            let b = &self.blocks[block];
+            let body = &self.ops[b.start as usize..b.end as usize];
+            // `retired <= step_limit` always holds, so this cannot wrap.
+            let budget = self.step_limit - retired;
+            if b.steps > budget {
+                // `budget < steps <= body.len() + 1`: the cut falls within
+                // the body, before any fused comparison.
+                self.exec(&body[..budget as usize], &mut regs, &mut arrays)?;
+                return Err(ProfileError::StepLimit {
+                    limit: self.step_limit,
+                });
             }
-            match &b.term {
-                Terminator::Jump(t) => block = *t,
-                Terminator::Branch {
+            retired += b.steps;
+            self.exec(body, &mut regs, &mut arrays)?;
+            block = match b.term {
+                Term::Jump(t) => t,
+                Term::Branch {
                     cond,
                     then_bb,
                     else_bb,
                 } => {
-                    block = if read(*cond, &vars) != 0 {
-                        *then_bb
+                    if regs[cond as usize] != 0 {
+                        then_bb
                     } else {
-                        *else_bb
-                    };
+                        else_bb
+                    }
                 }
-                Terminator::Return(v) => break v.map(|v| read(v, &vars)),
-            }
+                Term::CmpBranch {
+                    cmp,
+                    dst,
+                    lhs,
+                    rhs,
+                    then_bb,
+                    else_bb,
+                } => {
+                    let taken = cmp.holds(regs[lhs as usize], regs[rhs as usize]);
+                    regs[dst as usize] = i64::from(taken);
+                    if taken {
+                        then_bb
+                    } else {
+                        else_bb
+                    }
+                }
+                Term::Return(v) => break v.map(|r| regs[r as usize]),
+            } as usize;
         };
 
-        let globals_out = self
+        arrays.truncate(self.ir.globals.len());
+        let globals = self
             .ir
             .globals
             .iter()
-            .zip(globals)
+            .zip(arrays)
             .map(|(g, data)| (g.name.clone(), data))
             .collect();
         Ok(Execution {
             block_counts: counts,
             instrs_retired: retired,
             return_value,
-            globals: globals_out,
+            globals,
         })
     }
 
-    fn exec_instr(
+    /// Execute `ops` in order.
+    #[inline]
+    fn exec(
         &self,
-        instr: &Instr,
-        vars: &mut [i64],
-        globals: &mut [Vec<i64>],
-        locals: &mut [Vec<i64>],
+        ops: &[Op],
+        regs: &mut [i64],
+        arrays: &mut [Vec<i64>],
     ) -> Result<(), ProfileError> {
-        match instr {
-            Instr::Bin { op, dst, lhs, rhs } => {
-                let a = read(*lhs, vars);
-                let b = read(*rhs, vars);
-                vars[dst.index()] = eval_bin(*op, a, b)?;
-            }
-            Instr::Un { op, dst, src } => {
-                let v = read(*src, vars);
-                vars[dst.index()] = match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::BitNot => !v,
-                    UnOp::LogicalNot => i64::from(v == 0),
-                };
-            }
-            Instr::Copy { dst, src } => {
-                vars[dst.index()] = read(*src, vars);
-            }
-            Instr::Load { dst, array, index } => {
-                let i = read(*index, vars);
-                let slice = array_slice(*array, globals, locals);
-                match usize::try_from(i).ok().and_then(|idx| slice.get(idx)) {
-                    Some(&v) => vars[dst.index()] = v,
-                    None => return Err(self.out_of_bounds(*array, i, slice.len())),
+        for op in ops {
+            match *op {
+                Op::Add(d, a, b) => {
+                    regs[d as usize] = regs[a as usize].wrapping_add(regs[b as usize]);
                 }
-            }
-            Instr::Store {
-                array,
-                index,
-                value,
-            } => {
-                let i = read(*index, vars);
-                let v = read(*value, vars);
-                let slice = array_slice_mut(*array, globals, locals);
-                let len = slice.len();
-                match usize::try_from(i).ok().and_then(|idx| slice.get_mut(idx)) {
-                    Some(cell) => *cell = v,
-                    None => return Err(self.out_of_bounds(*array, i, len)),
+                Op::Sub(d, a, b) => {
+                    regs[d as usize] = regs[a as usize].wrapping_sub(regs[b as usize]);
+                }
+                Op::Mul(d, a, b) => {
+                    regs[d as usize] = regs[a as usize].wrapping_mul(regs[b as usize]);
+                }
+                Op::Div(d, a, b) => {
+                    let divisor = nonzero(regs[b as usize])?;
+                    regs[d as usize] = regs[a as usize].wrapping_div(divisor);
+                }
+                Op::Rem(d, a, b) => {
+                    let divisor = nonzero(regs[b as usize])?;
+                    regs[d as usize] = regs[a as usize].wrapping_rem(divisor);
+                }
+                Op::And(d, a, b) => regs[d as usize] = regs[a as usize] & regs[b as usize],
+                Op::Or(d, a, b) => regs[d as usize] = regs[a as usize] | regs[b as usize],
+                Op::Xor(d, a, b) => regs[d as usize] = regs[a as usize] ^ regs[b as usize],
+                Op::Shl(d, a, b) => {
+                    let amount = shift(regs[b as usize])?;
+                    regs[d as usize] = regs[a as usize] << amount;
+                }
+                Op::Shr(d, a, b) => {
+                    let amount = shift(regs[b as usize])?;
+                    regs[d as usize] = regs[a as usize] >> amount;
+                }
+                Op::Cmp(cmp, d, a, b) => {
+                    regs[d as usize] = i64::from(cmp.holds(regs[a as usize], regs[b as usize]));
+                }
+                Op::Neg(d, s) => regs[d as usize] = regs[s as usize].wrapping_neg(),
+                Op::BitNot(d, s) => regs[d as usize] = !regs[s as usize],
+                Op::Not(d, s) => regs[d as usize] = i64::from(regs[s as usize] == 0),
+                Op::Copy(d, s) => regs[d as usize] = regs[s as usize],
+                Op::Load { dst, array, index } => {
+                    let i = regs[index as usize];
+                    let data = &arrays[array as usize];
+                    match usize::try_from(i).ok().and_then(|i| data.get(i)) {
+                        Some(&v) => regs[dst as usize] = v,
+                        None => return Err(self.out_of_bounds(array, i, data.len())),
+                    }
+                }
+                Op::Store {
+                    array,
+                    index,
+                    value,
+                } => {
+                    let i = regs[index as usize];
+                    let v = regs[value as usize];
+                    let data = &mut arrays[array as usize];
+                    let len = data.len();
+                    match usize::try_from(i).ok().and_then(|i| data.get_mut(i)) {
+                        Some(cell) => *cell = v,
+                        None => return Err(self.out_of_bounds(array, i, len)),
+                    }
                 }
             }
         }
@@ -223,10 +523,13 @@ impl<'p> Interpreter<'p> {
 
     /// The error for an out-of-range access, built only on that path so
     /// in-bounds accesses never touch the array's name.
-    fn out_of_bounds(&self, array: ArrayRef, index: i64, len: usize) -> ProfileError {
-        let name = match array {
-            ArrayRef::Global(g) => &self.ir.globals[g as usize].name,
-            ArrayRef::Local(a) => &self.ir.entry.arrays[a as usize].name,
+    #[cold]
+    fn out_of_bounds(&self, array: u32, index: i64, len: usize) -> ProfileError {
+        let array = array as usize;
+        let globals = &self.ir.globals;
+        let name = match globals.get(array) {
+            Some(g) => &g.name,
+            None => &self.ir.entry.arrays[array - globals.len()].name,
         };
         ProfileError::IndexOutOfBounds {
             array: name.clone(),
@@ -236,76 +539,31 @@ impl<'p> Interpreter<'p> {
     }
 }
 
-fn read(op: Operand, vars: &[i64]) -> i64 {
-    match op {
-        Operand::Var(v) => vars[v.index()],
-        Operand::Const(c) => c,
+/// A divisor, or the error dividing by zero raises.
+fn nonzero(divisor: i64) -> Result<i64, ProfileError> {
+    if divisor == 0 {
+        return Err(ProfileError::DivisionByZero);
     }
+    Ok(divisor)
 }
 
-fn eval_bin(op: BinOp, a: i64, b: i64) -> Result<i64, ProfileError> {
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(ProfileError::DivisionByZero);
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(ProfileError::DivisionByZero);
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => {
-            if !(0..64).contains(&b) {
-                return Err(ProfileError::ShiftOutOfRange { amount: b });
-            }
-            a.wrapping_shl(b as u32)
-        }
-        BinOp::Shr => {
-            if !(0..64).contains(&b) {
-                return Err(ProfileError::ShiftOutOfRange { amount: b });
-            }
-            a.wrapping_shr(b as u32)
-        }
-        BinOp::Lt => i64::from(a < b),
-        BinOp::Le => i64::from(a <= b),
-        BinOp::Gt => i64::from(a > b),
-        BinOp::Ge => i64::from(a >= b),
-        BinOp::Eq => i64::from(a == b),
-        BinOp::Ne => i64::from(a != b),
-    })
-}
-
-fn array_slice<'a>(array: ArrayRef, globals: &'a [Vec<i64>], locals: &'a [Vec<i64>]) -> &'a [i64] {
-    match array {
-        ArrayRef::Global(g) => &globals[g as usize],
-        ArrayRef::Local(a) => &locals[a as usize],
-    }
-}
-
-fn array_slice_mut<'a>(
-    array: ArrayRef,
-    globals: &'a mut [Vec<i64>],
-    locals: &'a mut [Vec<i64>],
-) -> &'a mut [i64] {
-    match array {
-        ArrayRef::Global(g) => &mut globals[g as usize],
-        ArrayRef::Local(a) => &mut locals[a as usize],
+/// A shift amount, or the error an amount outside `0..64` raises.
+fn shift(amount: i64) -> Result<u32, ProfileError> {
+    match u32::try_from(amount) {
+        Ok(a) if a < 64 => Ok(a),
+        _ => Err(ProfileError::ShiftOutOfRange { amount }),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::Oracle;
     use super::*;
     use amdrel_minic::compile_to_ir;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::collections::BTreeMap;
+    use std::fmt;
 
     fn run(src: &str) -> Execution {
         let ir = compile_to_ir(src, "main").unwrap();
@@ -516,5 +774,329 @@ mod tests {
         );
         // 0+1+2+4+5+6 = 18
         assert_eq!(e.return_value, Some(18));
+    }
+
+    /// Everything a run shows: block counts, instructions retired, the
+    /// return value and the globals in name order, or the error.
+    type Observed = Result<(Vec<u64>, u64, Option<i64>, BTreeMap<String, Vec<i64>>), ProfileError>;
+
+    fn observe(run: Result<Execution, ProfileError>) -> Observed {
+        run.map(|e| {
+            let globals = e.globals.into_iter().collect();
+            (e.block_counts, e.instrs_retired, e.return_value, globals)
+        })
+    }
+
+    /// The decoded interpreter's and the oracle's runs of `ir`.
+    fn both(ir: &IrProgram, step_limit: u64, inputs: &[(&str, &[i64])]) -> (Observed, Observed) {
+        let decoded = Interpreter::new(ir).with_step_limit(step_limit).run(inputs);
+        let oracle = Oracle::new(ir, step_limit).run(inputs);
+        (observe(decoded), observe(oracle))
+    }
+
+    /// A loop whose condition block computes before it compares, so the
+    /// block has a body and a fused compare-and-branch, and whose body
+    /// block stores and counts. Every budget from zero to one past the
+    /// whole run must stop exactly where the per-instruction oracle
+    /// stops: in the condition block's body, just before its fused
+    /// comparison, inside the loop body, or not at all.
+    #[test]
+    fn every_step_budget_matches_the_oracle() {
+        let ir = compile_to_ir(
+            "int out[4]; int main() { int s = 1; int n = 0; \
+             while (s * 3 < 500) { s = s * 3 + n; out[n & 3] = s; n++; } return s / n; }",
+            "main",
+        )
+        .unwrap();
+        let interp = Interpreter::new(&ir);
+        assert!(
+            interp
+                .blocks
+                .iter()
+                .any(|b| matches!(b.term, Term::CmpBranch { .. }) && b.end > b.start),
+            "no fused block with a body"
+        );
+        assert!(
+            interp.blocks.iter().any(|b| b.end - b.start >= 3),
+            "no multi-instruction body"
+        );
+        let full = interp.run(&[]).unwrap();
+        assert_eq!(full.return_value, Some(301 / 5));
+        for limit in 0..=full.instrs_retired + 1 {
+            let (decoded, oracle) = both(&ir, limit, &[]);
+            assert_eq!(decoded, oracle, "step limit {limit}");
+        }
+    }
+
+    /// Generates [`Case`]s: mini-C programs with nested counted loops over
+    /// global and local arrays, data-dependent `if`s, and `/`, `%`, `<<`
+    /// and `>>` on generated operands, so division by zero, out-of-range
+    /// shifts and out-of-bounds indices all occur.
+    struct Programs;
+
+    /// One generated program, its `g1` input (sometimes one too long)
+    /// and its step budget (the default, or one small enough to stop
+    /// many runs).
+    struct Case {
+        source: String,
+        input: Vec<i64>,
+        step_limit: u64,
+    }
+
+    impl fmt::Debug for Case {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let Case {
+                source,
+                input,
+                step_limit,
+            } = self;
+            write!(f, "step limit {step_limit}, g1 = {input:?}\n{source}")
+        }
+    }
+
+    impl Strategy for Programs {
+        type Value = Case;
+
+        fn sample(&self, rng: &mut TestRng) -> Case {
+            let mut g = Gen {
+                rng,
+                lens: [0; 3],
+                loops: 0,
+            };
+            g.case()
+        }
+    }
+
+    /// Binary operators that never fault. `FAULTING` ones get an arm of
+    /// their own, with a leaf on the right.
+    const OPS: [&str; 14] = [
+        "+", "-", "*", "&", "|", "^", "<", "<=", ">", ">=", "==", "!=", "&&", "||",
+    ];
+    const FAULTING: [&str; 4] = ["/", "%", "<<", ">>"];
+    const ARRAYS: [&str; 3] = ["g0", "g1", "t"];
+    const SCALARS: [&str; 3] = ["a", "b", "c"];
+
+    struct Gen<'r> {
+        rng: &'r mut TestRng,
+        /// Lengths of `ARRAYS`.
+        lens: [usize; 3],
+        /// Loop variables in scope: `i0` up to `i{loops - 1}`.
+        loops: usize,
+    }
+
+    impl Gen<'_> {
+        fn below(&mut self, n: usize) -> usize {
+            (self.rng.next_u64() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, of: &[&'a str]) -> &'a str {
+            of[self.below(of.len())]
+        }
+
+        fn case(&mut self) -> Case {
+            self.lens = [1 + self.below(8), 1 + self.below(8), 1 + self.below(8)];
+            let [g0, g1, t] = self.lens;
+            let init: Vec<String> = (0..self.below(g0 + 1))
+                .map(|_| self.below(20).to_string())
+                .collect();
+            let init = if init.is_empty() {
+                String::new()
+            } else {
+                format!(" = {{{}}}", init.join(", "))
+            };
+            let scalars: Vec<String> = SCALARS
+                .iter()
+                .map(|v| format!("int {v} = {};", self.constant()))
+                .collect();
+            let body = self.stmts(3);
+            let ret = self.expr(2);
+            let source = format!(
+                "int g0[{g0}]{init};\nint g1[{g1}];\nint main() {{\n  int t[{t}];\n  {}\n{body}  return {ret};\n}}\n",
+                scalars.join(" ")
+            );
+            let input_len = match self.below(8) {
+                0 => g1 + 1,
+                _ => self.below(g1 + 1),
+            };
+            let input = (0..input_len).map(|_| self.below(41) as i64 - 20).collect();
+            let step_limit = match self.below(3) {
+                0 => self.below(100) as u64,
+                _ => DEFAULT_STEP_LIMIT,
+            };
+            Case {
+                source,
+                input,
+                step_limit,
+            }
+        }
+
+        /// Mostly small constants, sometimes one at the edges of the
+        /// shift range or of `i64`.
+        fn constant(&mut self) -> String {
+            let c = match self.below(6) {
+                0 => [i64::MAX, -i64::MAX, 63, 64, -1, 1 << 40][self.below(6)],
+                _ => self.below(19) as i64 - 9,
+            };
+            if c < 0 {
+                format!("(0 - {})", -c)
+            } else {
+                c.to_string()
+            }
+        }
+
+        fn scalar(&mut self) -> String {
+            if self.loops > 0 && self.below(2) == 0 {
+                format!("i{}", self.below(self.loops))
+            } else {
+                self.pick(&SCALARS).to_owned()
+            }
+        }
+
+        fn leaf(&mut self) -> String {
+            match self.below(6) {
+                0 | 1 => self.constant(),
+                2..=4 => self.scalar(),
+                _ => {
+                    let a = self.below(ARRAYS.len());
+                    format!("{}[{}]", ARRAYS[a], self.index(a))
+                }
+            }
+        }
+
+        fn expr(&mut self, depth: usize) -> String {
+            if depth == 0 {
+                return self.leaf();
+            }
+            match self.below(8) {
+                0..=2 => {
+                    let op = self.pick(&OPS);
+                    format!("({} {op} {})", self.expr(depth - 1), self.expr(depth - 1))
+                }
+                3 => {
+                    let op = self.pick(&FAULTING);
+                    format!("({} {op} {})", self.expr(depth - 1), self.leaf())
+                }
+                4 => {
+                    let op = self.pick(&["-", "~", "!"]);
+                    format!("({op}{})", self.expr(depth - 1))
+                }
+                5 => format!(
+                    "({} ? {} : {})",
+                    self.expr(depth - 1),
+                    self.expr(depth - 1),
+                    self.expr(depth - 1)
+                ),
+                _ => self.leaf(),
+            }
+        }
+
+        /// An index into `ARRAYS[a]`: in bounds more often than not.
+        fn index(&mut self, a: usize) -> String {
+            let len = self.lens[a];
+            match self.below(7) {
+                0 if self.loops > 0 => format!("i{}", self.below(self.loops)),
+                1 => self.below(len + 1).to_string(),
+                2 => self.expr(1),
+                3 => format!("({} % {len})", self.expr(1)),
+                _ => format!("((({} % {len}) + {len}) % {len})", self.expr(1)),
+            }
+        }
+
+        fn stmts(&mut self, depth: usize) -> String {
+            (0..1 + self.below(3)).map(|_| self.stmt(depth)).collect()
+        }
+
+        fn stmt(&mut self, depth: usize) -> String {
+            let indent = "  ".repeat(2 + self.loops);
+            let s = match self.below(if depth == 0 { 3 } else { 6 }) {
+                0 => format!("{} = {};", self.pick(&SCALARS), self.expr(2)),
+                1 => format!("{} += {};", self.pick(&SCALARS), self.expr(1)),
+                2 => {
+                    let a = self.below(ARRAYS.len());
+                    let index = self.index(a);
+                    format!("{}[{index}] = {};", ARRAYS[a], self.expr(2))
+                }
+                3 => {
+                    // Sometimes branch on a scalar just set by a comparison,
+                    // so code after the `if` reads what a fused
+                    // compare-and-branch wrote.
+                    let (set, cond) = match self.below(3) {
+                        0 => {
+                            let v = self.pick(&SCALARS);
+                            let cmp = self.pick(&["<", "<=", ">", ">=", "==", "!="]);
+                            let (l, r) = (self.expr(1), self.expr(1));
+                            (format!("{v} = {l} {cmp} {r};\n{indent}"), v.to_owned())
+                        }
+                        _ => (String::new(), self.expr(2)),
+                    };
+                    let then = self.stmts(depth - 1);
+                    match self.below(2) {
+                        0 => format!("{set}if ({cond}) {{\n{then}{indent}}}"),
+                        _ => format!(
+                            "{set}if ({cond}) {{\n{then}{indent}}} else {{\n{}{indent}}}",
+                            self.stmts(depth - 1)
+                        ),
+                    }
+                }
+                _ => {
+                    let (i, n) = (self.loops, self.below(6));
+                    self.loops += 1;
+                    let body = self.stmts(depth - 1);
+                    self.loops -= 1;
+                    format!("for (int i{i} = 0; i{i} < {n}; i{i}++) {{\n{body}{indent}}}")
+                }
+            };
+            format!("{indent}{s}\n")
+        }
+    }
+
+    impl Case {
+        fn run(&self) -> (Observed, Observed) {
+            let ir = compile_to_ir(&self.source, "main")
+                .unwrap_or_else(|e| panic!("{e}\n{}", self.source));
+            both(&ir, self.step_limit, &[("g1", &self.input)])
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The decoded interpreter agrees with the oracle on every
+        /// generated program, errors included.
+        #[test]
+        fn decoded_runs_match_the_oracle(case in Programs) {
+            let (decoded, oracle) = case.run();
+            prop_assert_eq!(decoded, oracle);
+        }
+    }
+
+    /// The generator reaches every outcome the differential suite means
+    /// to compare: clean returns and each runtime error.
+    #[test]
+    fn generated_programs_reach_every_outcome() {
+        let mut seen = BTreeMap::new();
+        for seed in 0..512 {
+            let (decoded, _) = Programs.sample(&mut TestRng::from_seed(seed)).run();
+            let kind = match decoded {
+                Ok(_) => "ok",
+                Err(ProfileError::DivisionByZero) => "division by zero",
+                Err(ProfileError::ShiftOutOfRange { .. }) => "shift out of range",
+                Err(ProfileError::IndexOutOfBounds { .. }) => "index out of bounds",
+                Err(ProfileError::StepLimit { .. }) => "step limit",
+                Err(ProfileError::InputTooLong { .. }) => "input too long",
+                Err(e) => panic!("unexpected error {e}"),
+            };
+            *seen.entry(kind).or_insert(0) += 1;
+        }
+        for kind in [
+            "ok",
+            "division by zero",
+            "shift out of range",
+            "index out of bounds",
+            "step limit",
+            "input too long",
+        ] {
+            assert!(seen.get(kind) >= Some(&10), "{kind}: {seen:?}");
+        }
     }
 }
