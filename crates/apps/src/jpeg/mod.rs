@@ -40,16 +40,12 @@ pub fn design_space() -> amdrel_explore::DesignSpace {
 mod tests {
     use super::*;
     use amdrel_minic::compile;
-    use amdrel_profiler::Interpreter;
 
     #[test]
     fn minic_matches_reference_bit_exactly() {
         let dim = 32; // 16 blocks: fast but exercises every code path
         let w = workload(dim, 42);
-        let program = compile(&w.source, "main").expect("JPEG source compiles");
-        let exec = Interpreter::new(&program.ir)
-            .run(&w.input_refs())
-            .expect("JPEG source runs");
+        let exec = w.analyze().expect("JPEG source runs").execution;
         let expected = encode(&w.inputs[0].1, dim);
         assert_eq!(exec.return_value, Some(expected.bit_count), "bit count");
         let bits = exec.global("bitstream").unwrap();
@@ -81,8 +77,7 @@ mod tests {
         // rows; at 32x32 the analogous frequency is (32/8)^2 * 8 = 128.
         let dim = 32;
         let w = workload(dim, 7);
-        let program = compile(&w.source, "main").unwrap();
-        let exec = Interpreter::new(&program.ir).run(&w.input_refs()).unwrap();
+        let exec = w.analyze().unwrap().execution;
         let expected = ((dim / 8) * (dim / 8) * 8) as u64;
         assert!(
             exec.block_counts.contains(&expected),

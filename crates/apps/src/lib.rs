@@ -31,18 +31,11 @@
 //! ```no_run
 //! use amdrel_apps::ofdm;
 //! use amdrel_core::{Platform, PartitioningEngine};
-//! use amdrel_profiler::{AnalysisReport, WeightTable};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let workload = ofdm::workload(42);
-//! let (program, execution) = workload.compile_and_profile()?;
-//! let analysis = AnalysisReport::analyze(
-//!     &program.cdfg,
-//!     &execution.block_counts,
-//!     &WeightTable::paper(),
-//! );
+//! let app = ofdm::workload(42).analyze()?;
 //! let platform = Platform::paper(1500, 3);
-//! let result = PartitioningEngine::new(&program.cdfg, &analysis, &platform)
+//! let result = PartitioningEngine::new(&app.program.cdfg, &app.analysis, &platform)
 //!     .run(60_000)?;
 //! println!("{:.1}% cycle reduction", result.reduction_percent());
 //! # Ok(())
@@ -59,9 +52,8 @@ pub mod runtime;
 pub mod sobel;
 
 use amdrel_coarsegrain::{CgcDatapath, CgcGeometry};
+use amdrel_core::{Analyzed, CoreError};
 use amdrel_explore::DesignSpace;
-use amdrel_minic::CompiledProgram;
-use amdrel_profiler::{Execution, Interpreter};
 
 /// The standard exploration space shared by the case studies: the
 /// paper's two configurations embedded in a wider sweep of FPGA areas
@@ -102,17 +94,14 @@ impl Workload {
             .collect()
     }
 
-    /// Compile the source and profile it on the workload's inputs.
+    /// Compile the source, profile it on the workload's inputs and weight
+    /// it — the Figure 2 analysis step ([`amdrel_core::analyze`]).
     ///
     /// # Errors
     ///
-    /// Compilation or interpretation failures.
-    pub fn compile_and_profile(
-        &self,
-    ) -> Result<(CompiledProgram, Execution), Box<dyn std::error::Error>> {
-        let program = amdrel_minic::compile(&self.source, "main")?;
-        let execution = Interpreter::new(&program.ir).run(&self.input_refs())?;
-        Ok((program, execution))
+    /// Compilation or profiling failures.
+    pub fn analyze(&self) -> Result<Analyzed, CoreError> {
+        amdrel_core::analyze(&self.source, &self.input_refs())
     }
 }
 
@@ -127,7 +116,7 @@ mod tests {
             source: "int x[2]; int main() { return x[0] + x[1]; }".into(),
             inputs: vec![("x".into(), vec![20, 22])],
         };
-        let (_, exec) = w.compile_and_profile().unwrap();
-        assert_eq!(exec.return_value, Some(42));
+        let app = w.analyze().unwrap();
+        assert_eq!(app.execution.return_value, Some(42));
     }
 }

@@ -47,15 +47,11 @@ pub fn random_bits(seed: u64) -> Vec<i64> {
 mod tests {
     use super::*;
     use amdrel_minic::compile;
-    use amdrel_profiler::Interpreter;
 
     #[test]
     fn minic_matches_reference_bit_exactly() {
         let w = workload(42);
-        let program = compile(&w.source, "main").expect("OFDM source compiles");
-        let exec = Interpreter::new(&program.ir)
-            .run(&w.input_refs())
-            .expect("OFDM source runs");
+        let exec = w.analyze().expect("OFDM source runs").execution;
         let frame = transmit(&w.inputs[0].1);
         assert_eq!(exec.return_value, Some(frame.checksum), "checksum");
         assert_eq!(exec.global("out_re").unwrap(), &frame.re[..], "real frame");

@@ -14,7 +14,6 @@ use crate::{jpeg, ofdm, paper, sobel, Workload};
 use amdrel_core::{MappingCache, PartitioningEngine, Platform};
 use amdrel_explore::RuntimeEvaluator;
 use amdrel_finegrain::CdfgFineGrainMapping;
-use amdrel_profiler::{AnalysisReport, WeightTable};
 use amdrel_runtime::{AppProfile, ShortestJobFirst};
 
 /// Workload seed shared by the profile builders (the same seed the
@@ -42,21 +41,16 @@ pub fn profile_workload(
     platform: &Platform,
     constraint: Option<u64>,
 ) -> Result<AppProfile, Box<dyn std::error::Error>> {
-    let (program, execution) = workload.compile_and_profile()?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let app = workload.analyze()?;
+    let cdfg = &app.program.cdfg;
     let cache = MappingCache::new();
-    let engine =
-        PartitioningEngine::new(&program.cdfg, &analysis, platform).with_mapping_cache(&cache);
+    let engine = PartitioningEngine::new(cdfg, &app.analysis, platform).with_mapping_cache(&cache);
     let constraint = match constraint {
         Some(c) => c,
         None => (engine.run(u64::MAX)?.initial_cycles / 2).max(1),
     };
     let result = engine.run(constraint)?;
-    let mapping = CdfgFineGrainMapping::map(&program.cdfg, &platform.fpga)?;
+    let mapping = CdfgFineGrainMapping::map(cdfg, &platform.fpga)?;
     Ok(AppProfile::from_partitioning(
         name, priority, &result, &mapping,
     ))

@@ -54,17 +54,12 @@ pub fn test_image(dim: usize, seed: u64) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdrel_minic::compile;
-    use amdrel_profiler::Interpreter;
 
     #[test]
     fn minic_matches_reference_bit_exactly() {
         let dim = 24;
         let w = workload(dim, 5);
-        let program = compile(&w.source, "main").expect("Sobel compiles");
-        let exec = Interpreter::new(&program.ir)
-            .run(&w.input_refs())
-            .expect("Sobel runs");
+        let exec = w.analyze().expect("Sobel compiles and runs").execution;
         let expected = detect(&w.inputs[0].1, dim, 160);
         assert_eq!(exec.return_value, Some(expected.count));
         assert_eq!(exec.global("edges").unwrap(), &expected.edges[..]);
@@ -74,13 +69,7 @@ mod tests {
     fn stencil_body_is_the_dominant_kernel() {
         let dim = 24;
         let w = workload(dim, 5);
-        let program = compile(&w.source, "main").unwrap();
-        let exec = Interpreter::new(&program.ir).run(&w.input_refs()).unwrap();
-        let report = amdrel_profiler::AnalysisReport::analyze(
-            &program.cdfg,
-            &exec.block_counts,
-            &amdrel_profiler::WeightTable::paper(),
-        );
+        let report = w.analyze().unwrap().analysis;
         let top = report.top_kernels(1)[0];
         // Interior pixel count, possibly split across the abs-branching
         // blocks; the top kernel must at least run per interior pixel.
@@ -93,14 +82,9 @@ mod tests {
     fn partitioning_accelerates_the_detector() {
         use amdrel_core::{PartitioningEngine, Platform};
         let w = workload(32, 9);
-        let (program, exec) = w.compile_and_profile().unwrap();
-        let report = amdrel_profiler::AnalysisReport::analyze(
-            &program.cdfg,
-            &exec.block_counts,
-            &amdrel_profiler::WeightTable::paper(),
-        );
+        let app = w.analyze().unwrap();
         let platform = Platform::paper(1500, 2);
-        let r = PartitioningEngine::new(&program.cdfg, &report, &platform)
+        let r = PartitioningEngine::new(&app.program.cdfg, &app.analysis, &platform)
             .run(1)
             .unwrap();
         assert!(r.final_cycles() < r.initial_cycles);

@@ -136,20 +136,14 @@ fn random_sampling_on_ofdm_is_reasonable() {
 /// path stayed bit-identical through the refactor.
 #[test]
 fn exhaustive_optimum_matches_the_committed_prerefactor_baseline() {
-    use amdrel_profiler::WeightTable;
     let workload = ofdm::workload(2004);
-    let (program, execution) = workload.compile_and_profile().unwrap();
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let app = workload.analyze().unwrap();
     let base = Platform::paper(1500, 2);
     let cache = MappingCache::new();
     let eval = Evaluator::new(
         &workload.name,
-        &program.cdfg,
-        &analysis,
+        &app.program.cdfg,
+        &app.analysis,
         &base,
         EnergyModel::default(),
         &cache,

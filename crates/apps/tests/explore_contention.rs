@@ -11,26 +11,20 @@ use amdrel_core::{EnergyModel, MappingCache, Platform};
 use amdrel_explore::{
     explore, Evaluator, Exhaustive, ExploreConfig, ExploreReport, ObjectiveSet, PointIdx,
 };
-use amdrel_profiler::{AnalysisReport, WeightTable};
 use std::collections::BTreeSet;
 
 /// Run the exhaustive exploration of the OFDM design space, statically
 /// or with the `p95` contention objective enabled.
 fn explore_ofdm(contention: bool) -> ExploreReport {
     let workload = ofdm::workload(apps_runtime::PROFILE_SEED);
-    let (program, execution) = workload.compile_and_profile().unwrap();
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let app = workload.analyze().unwrap();
     let base = Platform::paper(1500, 2);
     let cache = MappingCache::new();
     let runtime = apps_runtime::contention_evaluator("ofdm", &base).unwrap();
     let mut eval = Evaluator::new(
         &workload.name,
-        &program.cdfg,
-        &analysis,
+        &app.program.cdfg,
+        &app.analysis,
         &base,
         EnergyModel::default(),
         &cache,

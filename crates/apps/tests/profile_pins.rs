@@ -53,9 +53,10 @@ fn case_study_profiles_match_their_pins() {
     let mut drift = Vec::new();
     for pin in &PINS {
         let workload = (pin.workload)();
-        let (_, exec) = workload
-            .compile_and_profile()
-            .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
+        let exec = workload
+            .analyze()
+            .unwrap_or_else(|e| panic!("{}: {e}", workload.name))
+            .execution;
         let digest = fnv1a(&exec.block_counts);
         if (exec.instrs_retired, digest) != (pin.instrs, pin.digest) {
             drift.push(format!(

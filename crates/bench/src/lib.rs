@@ -10,8 +10,9 @@
 #![warn(missing_docs)]
 
 use amdrel_apps::{jpeg, ofdm};
+use amdrel_core::Analyzed;
 use amdrel_minic::CompiledProgram;
-use amdrel_profiler::{AnalysisReport, Execution, Interpreter, WeightTable};
+use amdrel_profiler::{AnalysisReport, Execution};
 
 /// A fully analysed application, ready for the partitioning engine.
 #[derive(Debug)]
@@ -27,16 +28,11 @@ pub struct Prepared {
 }
 
 fn prepare(workload: &amdrel_apps::Workload) -> Prepared {
-    let program =
-        amdrel_minic::compile(&workload.source, "main").expect("workload source compiles");
-    let execution = Interpreter::new(&program.ir)
-        .run(&workload.input_refs())
-        .expect("workload runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program,
+        execution,
+        analysis,
+    } = workload.analyze().expect("workload compiles and runs");
     Prepared {
         name: workload.name.clone(),
         program,

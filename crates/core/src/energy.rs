@@ -332,8 +332,6 @@ pub fn partition_for_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdrel_minic::compile;
-    use amdrel_profiler::{Interpreter, WeightTable};
 
     const SRC: &str = r#"
         int data[256];
@@ -348,10 +346,8 @@ mod tests {
     "#;
 
     fn prepared() -> (amdrel_minic::CompiledProgram, AnalysisReport) {
-        let c = compile(SRC, "main").unwrap();
-        let exec = Interpreter::new(&c.ir).run(&[]).unwrap();
-        let a = AnalysisReport::analyze(&c.cdfg, &exec.block_counts, &WeightTable::paper());
-        (c, a)
+        let app = crate::analyze(SRC, &[]).unwrap();
+        (app.program, app.analysis)
     }
 
     #[test]

@@ -454,8 +454,6 @@ impl<'a> PartitioningEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdrel_minic::compile;
-    use amdrel_profiler::{Interpreter, WeightTable};
 
     /// A program with one hot multiply-heavy loop and a cold tail.
     const HOT_LOOP: &str = r#"
@@ -475,10 +473,8 @@ mod tests {
     "#;
 
     fn analyzed(src: &str) -> (amdrel_minic::CompiledProgram, AnalysisReport) {
-        let c = compile(src, "main").unwrap();
-        let exec = Interpreter::new(&c.ir).run(&[]).unwrap();
-        let report = AnalysisReport::analyze(&c.cdfg, &exec.block_counts, &WeightTable::paper());
-        (c, report)
+        let app = crate::analyze(src, &[]).unwrap();
+        (app.program, app.analysis)
     }
 
     #[test]

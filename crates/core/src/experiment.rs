@@ -13,9 +13,9 @@
 //!   coarse-grain mappings instead of `A·D` of each (the fine-grain
 //!   mapping depends only on the FPGA, the coarse-grain one only on the
 //!   datapath);
-//! * [`run_grid_parallel`] evaluates the cells on scoped threads (cells
-//!   are independent), preserving the exact area-major output order of
-//!   the sequential path.
+//! * [`run_grid`] evaluates the cells (which are independent) on
+//!   [`map_parallel`], the workspace's one scoped-thread fan-out, so the
+//!   area-major output is identical at every `jobs` setting.
 
 use crate::cache::MappingCache;
 use crate::engine::{PartitionResult, PartitioningEngine};
@@ -26,6 +26,8 @@ use amdrel_coarsegrain::CgcDatapath;
 use amdrel_profiler::AnalysisReport;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One cell of the experiment grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,17 +76,6 @@ pub struct GridSpec<'a> {
 }
 
 impl GridSpec<'_> {
-    /// The `(area, datapath)` cells in area-major order.
-    fn configs(&self) -> Vec<(u64, &CgcDatapath)> {
-        let mut configs = Vec::with_capacity(self.areas.len() * self.datapaths.len());
-        for &area in self.areas {
-            for dp in self.datapaths {
-                configs.push((area, dp));
-            }
-        }
-        configs
-    }
-
     fn cell(
         &self,
         area: u64,
@@ -103,147 +94,85 @@ impl GridSpec<'_> {
             result,
         })
     }
-
-    fn grid(&self, cells: Vec<GridCell>) -> ExperimentGrid {
-        ExperimentGrid {
-            app: self.app.to_owned(),
-            constraint: self.constraint,
-            cells,
-        }
-    }
 }
 
-/// Run the engine over every `(area, datapath)` combination.
+/// Run the engine over every `(area, datapath)` cell of `spec` on up to
+/// `jobs` scoped threads ([`map_parallel`]; 0 = one per available core,
+/// 1 = sequential on the calling thread).
 ///
-/// A private [`MappingCache`] deduplicates the fabric mappings, so a grid
-/// over `A` areas and `D` datapaths performs exactly `A` fine-grain and
-/// `D` coarse-grain mappings. To share mappings across several grids (or
-/// read the hit counters), use [`run_grid_cached`].
+/// Every cell goes through `cache`, so a grid over `A` areas and `D`
+/// datapaths performs exactly `A` fine-grain and `D` coarse-grain
+/// mappings, and one cache shared across grids (e.g. sweeping several
+/// constraints) maps each configuration once. The output is identical
+/// cell for cell at every worker count: results land in area-major
+/// order, and on error the first failing cell *in grid order* is
+/// reported, regardless of thread timing.
 ///
 /// # Errors
 ///
-/// The first configuration whose mapping fails.
+/// The first configuration (in area-major grid order) whose mapping
+/// fails.
 pub fn run_grid(
-    app: &str,
-    cdfg: &Cdfg,
-    analysis: &AnalysisReport,
-    base: &Platform,
-    areas: &[u64],
-    datapaths: &[CgcDatapath],
-    constraint: u64,
-) -> Result<ExperimentGrid, CoreError> {
-    run_grid_cached(
-        &GridSpec {
-            app,
-            cdfg,
-            analysis,
-            base,
-            areas,
-            datapaths,
-            constraint,
-        },
-        &MappingCache::new(),
-    )
-}
-
-/// [`run_grid`] against a caller-supplied [`MappingCache`], enabling
-/// mapping reuse across grids (e.g. sweeping several constraints) and
-/// inspection of the cache counters.
-///
-/// # Errors
-///
-/// The first configuration whose mapping fails.
-pub fn run_grid_cached(
-    spec: &GridSpec<'_>,
-    cache: &MappingCache,
-) -> Result<ExperimentGrid, CoreError> {
-    let mut cells = Vec::with_capacity(spec.areas.len() * spec.datapaths.len());
-    for (area, dp) in spec.configs() {
-        cells.push(spec.cell(area, dp, cache)?);
-    }
-    Ok(spec.grid(cells))
-}
-
-/// [`run_grid`] with the cells evaluated on scoped threads (at most
-/// [`std::thread::available_parallelism`] workers, each owning a
-/// contiguous run of cells — cells are independent). Output is identical
-/// to the sequential path, cell for cell: results land in preallocated
-/// area-major slots, and on error the first failing cell *in grid order*
-/// is reported, regardless of thread timing.
-///
-/// # Errors
-///
-/// The first configuration (in area-major grid order) whose mapping
-/// fails.
-pub fn run_grid_parallel(spec: &GridSpec<'_>) -> Result<ExperimentGrid, CoreError> {
-    run_grid_parallel_cached(spec, &MappingCache::new())
-}
-
-/// [`run_grid_parallel`] against a caller-supplied [`MappingCache`].
-///
-/// # Errors
-///
-/// The first configuration (in area-major grid order) whose mapping
-/// fails.
-pub fn run_grid_parallel_cached(
-    spec: &GridSpec<'_>,
-    cache: &MappingCache,
-) -> Result<ExperimentGrid, CoreError> {
-    run_grid_parallel_jobs(spec, cache, 0)
-}
-
-/// [`run_grid_parallel_cached`] with an explicit worker count.
-///
-/// `jobs == 0` keeps the automatic heuristic (one worker per available
-/// core, capped at the cell count); any other value requests exactly
-/// `min(jobs, cells)` workers — the knob behind the CLI's `--jobs N` and
-/// the explorer's `ExploreConfig::jobs` setting. The output is identical
-/// cell for cell at every worker count (results land in preallocated
-/// area-major slots), so callers may tune throughput without affecting
-/// results.
-///
-/// # Errors
-///
-/// The first configuration (in area-major grid order) whose mapping
-/// fails.
-pub fn run_grid_parallel_jobs(
     spec: &GridSpec<'_>,
     cache: &MappingCache,
     jobs: usize,
 ) -> Result<ExperimentGrid, CoreError> {
-    let configs = spec.configs();
-    if configs.is_empty() {
-        return Ok(spec.grid(Vec::new()));
-    }
-    let workers = worker_count(jobs).min(configs.len());
-    let chunk = configs.len().div_ceil(workers);
-    let mut slots: Vec<Option<Result<GridCell, CoreError>>> = Vec::new();
-    slots.resize_with(configs.len(), || None);
-    std::thread::scope(|s| {
-        for (slot_chunk, config_chunk) in slots.chunks_mut(chunk).zip(configs.chunks(chunk)) {
-            s.spawn(move || {
-                for (slot, (area, dp)) in slot_chunk.iter_mut().zip(config_chunk) {
-                    *slot = Some(spec.cell(*area, dp, cache));
-                }
-            });
-        }
-    });
-    let mut cells = Vec::with_capacity(slots.len());
-    for slot in slots {
-        cells.push(slot.expect("scoped worker fills its slots")?);
-    }
-    Ok(spec.grid(cells))
+    let configs: Vec<(u64, &CgcDatapath)> = spec
+        .areas
+        .iter()
+        .flat_map(|&area| spec.datapaths.iter().map(move |dp| (area, dp)))
+        .collect();
+    let cells = map_parallel(&configs, jobs, |&(area, dp)| spec.cell(area, dp, cache))
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    Ok(ExperimentGrid {
+        app: spec.app.to_owned(),
+        constraint: spec.constraint,
+        cells,
+    })
 }
 
 /// The workers a `jobs` knob asks for: `jobs` itself, or one per
 /// available core when it is 0 (automatic).
-pub fn worker_count(jobs: usize) -> usize {
+fn worker_count(jobs: usize) -> usize {
     match jobs {
         0 => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(4),
         n => n,
     }
+}
+
+/// `f` over `items` on up to `jobs` scoped threads (0 = one per available
+/// core), in item order — the workspace's one fan-out. Workers claim the
+/// next unclaimed item, so uneven item costs balance; each result lands
+/// in its item's slot, so the output does not depend on which thread ran
+/// what. With one worker (or at most one item) `f` runs on the calling
+/// thread.
+pub fn map_parallel<T: Sync, R: Send + Sync>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = worker_count(jobs).min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let _ = slots[i].set(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every item is claimed once"))
+        .collect()
 }
 
 /// Render the grid in the layout of the paper's Tables 2/3:
@@ -364,10 +293,8 @@ pub fn format_paper_table(grid: &ExperimentGrid) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdrel_minic::compile;
-    use amdrel_profiler::{Interpreter, WeightTable};
 
-    fn toy_app() -> (amdrel_minic::CompiledProgram, AnalysisReport, u64) {
+    fn toy_app() -> (crate::Analyzed, u64) {
         let src = r#"
             int data[128];
             int main() {
@@ -378,29 +305,27 @@ mod tests {
                 return acc;
             }
         "#;
-        let c = compile(src, "main").unwrap();
-        let exec = Interpreter::new(&c.ir).run(&[]).unwrap();
-        let report = AnalysisReport::analyze(&c.cdfg, &exec.block_counts, &WeightTable::paper());
+        let app = crate::analyze(src, &[]).unwrap();
         let base = Platform::paper(1500, 2);
-        let initial = PartitioningEngine::new(&c.cdfg, &report, &base)
+        let initial = PartitioningEngine::new(&app.program.cdfg, &app.analysis, &base)
             .run(u64::MAX)
             .unwrap()
             .initial_cycles;
-        (c, report, initial)
+        (app, initial)
     }
 
     fn grid() -> ExperimentGrid {
-        let (c, report, initial) = toy_app();
-        run_grid(
-            "toy",
-            &c.cdfg,
-            &report,
-            &Platform::paper(1500, 2),
-            &[1500, 5000],
-            &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
-            initial / 2,
-        )
-        .unwrap()
+        let (app, initial) = toy_app();
+        let spec = GridSpec {
+            app: "toy",
+            cdfg: &app.program.cdfg,
+            analysis: &app.analysis,
+            base: &Platform::paper(1500, 2),
+            areas: &[1500, 5000],
+            datapaths: &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
+            constraint: initial / 2,
+        };
+        run_grid(&spec, &MappingCache::new(), 1).unwrap()
     }
 
     #[test]
@@ -421,7 +346,7 @@ mod tests {
 
     #[test]
     fn parallel_grid_equals_sequential() {
-        let (c, report, initial) = toy_app();
+        let (app, initial) = toy_app();
         let base = Platform::paper(1500, 2);
         let datapaths = [
             CgcDatapath::two_2x2(),
@@ -430,21 +355,21 @@ mod tests {
         ];
         let spec = GridSpec {
             app: "toy",
-            cdfg: &c.cdfg,
-            analysis: &report,
+            cdfg: &app.program.cdfg,
+            analysis: &app.analysis,
             base: &base,
             areas: &[1200, 1500, 5000],
             datapaths: &datapaths,
             constraint: initial / 2,
         };
-        let sequential = run_grid_cached(&spec, &MappingCache::new()).unwrap();
-        let parallel = run_grid_parallel(&spec).unwrap();
+        let sequential = run_grid(&spec, &MappingCache::new(), 1).unwrap();
+        let parallel = run_grid(&spec, &MappingCache::new(), 0).unwrap();
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn worker_count_does_not_change_results() {
-        let (c, report, initial) = toy_app();
+        let (app, initial) = toy_app();
         let base = Platform::paper(1500, 2);
         let datapaths = [
             CgcDatapath::two_2x2(),
@@ -453,30 +378,66 @@ mod tests {
         ];
         let spec = GridSpec {
             app: "toy",
-            cdfg: &c.cdfg,
-            analysis: &report,
+            cdfg: &app.program.cdfg,
+            analysis: &app.analysis,
             base: &base,
             areas: &[1200, 1500, 5000],
             datapaths: &datapaths,
             constraint: initial / 2,
         };
-        let sequential = run_grid_cached(&spec, &MappingCache::new()).unwrap();
+        let sequential = run_grid(&spec, &MappingCache::new(), 1).unwrap();
         for jobs in [1usize, 2, 7, 64] {
-            let grid = run_grid_parallel_jobs(&spec, &MappingCache::new(), jobs).unwrap();
+            let grid = run_grid(&spec, &MappingCache::new(), jobs).unwrap();
             assert_eq!(grid, sequential, "jobs={jobs} diverged from sequential");
+        }
+        // A mappable area followed by two too small for the 32-bit
+        // multiplier: every worker count reports the first failing cell
+        // in area-major order, whichever thread reached a failure first.
+        let failing = GridSpec {
+            areas: &[1500, 400, 700],
+            ..spec
+        };
+        let error = |jobs| {
+            run_grid(&failing, &MappingCache::new(), jobs)
+                .unwrap_err()
+                .to_string()
+        };
+        let first = error(1);
+        let usable = Platform::paper(400, 2).fpga.usable_area();
+        assert!(
+            first.ends_with(&format!("only {usable} are usable")),
+            "{first}"
+        );
+        for jobs in [1usize, 2, 7, 64] {
+            assert_eq!(error(jobs), first, "jobs={jobs} reported another cell");
         }
     }
 
     #[test]
+    fn map_parallel_keeps_item_order() {
+        let items: Vec<u64> = (0..37).collect();
+        let squares: Vec<u64> = items.iter().map(|x| x * x).collect();
+        // Sequential, fewer workers than items, more workers than items.
+        for jobs in [0usize, 1, 2, 7, 64] {
+            assert_eq!(
+                map_parallel(&items, jobs, |x| x * x),
+                squares,
+                "jobs={jobs}"
+            );
+        }
+        assert!(map_parallel(&[] as &[u64], 4, |x| x * x).is_empty());
+    }
+
+    #[test]
     fn grid_computes_a_plus_d_mappings() {
-        let (c, report, initial) = toy_app();
+        let (app, initial) = toy_app();
         let base = Platform::paper(1500, 2);
         let datapaths = [CgcDatapath::two_2x2(), CgcDatapath::three_2x2()];
         let areas = [1200u64, 1500, 5000];
         let spec = GridSpec {
             app: "toy",
-            cdfg: &c.cdfg,
-            analysis: &report,
+            cdfg: &app.program.cdfg,
+            analysis: &app.analysis,
             base: &base,
             areas: &areas,
             datapaths: &datapaths,
@@ -492,9 +453,9 @@ mod tests {
                 constraint: (initial / divisor).max(1),
                 ..spec
             };
-            run_grid_cached(&spec, &cache).unwrap();
+            run_grid(&spec, &cache, 1).unwrap();
         }
-        run_grid_parallel_cached(&spec, &cache).unwrap();
+        run_grid(&spec, &cache, 0).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.fine_misses, areas.len() as u64);
         assert_eq!(stats.coarse_misses, datapaths.len() as u64);

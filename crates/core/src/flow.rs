@@ -1,16 +1,29 @@
-//! The end-to-end flow of Figure 2 as a single entry point: compile,
-//! profile, analyse, partition.
+//! The Figure 2 flow as two entry points: [`analyze`] (compile, profile,
+//! weight) and [`run_flow`] (analyse, then partition).
 //!
 //! The lower-level pieces (frontend, profiler, engine) stay independently
 //! usable; this module is the "prototype framework" convenience wrapper
-//! the paper describes building in C++.
+//! the paper describes building in C++. Callers that need an engine
+//! policy or a shared [`MappingCache`](crate::MappingCache) call
+//! [`analyze`] and drive the [`PartitioningEngine`] builder themselves.
 
-use crate::cache::MappingCache;
-use crate::engine::{EngineConfig, PartitionResult, PartitioningEngine};
+use crate::engine::{PartitionResult, PartitioningEngine};
 use crate::platform::Platform;
 use crate::CoreError;
 use amdrel_minic::CompiledProgram;
 use amdrel_profiler::{AnalysisReport, Execution, Interpreter, WeightTable};
+
+/// The analysis step of Figure 2: an application compiled, profiled and
+/// weighted, ready for the partitioning engine.
+#[derive(Debug, Clone)]
+pub struct Analyzed {
+    /// The compiled program (IR + CDFG).
+    pub program: CompiledProgram,
+    /// The profiling run (dynamic analysis).
+    pub execution: Execution,
+    /// The combined static+dynamic analysis.
+    pub analysis: AnalysisReport,
+}
 
 /// Everything produced by one pass of the Figure 2 flow.
 #[derive(Debug, Clone)]
@@ -23,6 +36,28 @@ pub struct FlowOutcome {
     pub analysis: AnalysisReport,
     /// The partitioning outcome.
     pub result: PartitionResult,
+}
+
+/// Analyse mini-C source: compile `main` to its CDFG, profile it on
+/// `inputs` (global-array bindings), and weight every basic block with the
+/// paper's Table 1 weights ([`WeightTable::paper`]).
+///
+/// # Errors
+///
+/// Compilation or profiling failures as [`CoreError`].
+pub fn analyze(source: &str, inputs: &[(&str, &[i64])]) -> Result<Analyzed, CoreError> {
+    let program = amdrel_minic::compile(source, "main")?;
+    let execution = Interpreter::new(&program.ir).run(inputs)?;
+    let analysis = AnalysisReport::analyze(
+        &program.cdfg,
+        &execution.block_counts,
+        &WeightTable::paper(),
+    );
+    Ok(Analyzed {
+        program,
+        execution,
+        analysis,
+    })
 }
 
 /// Run the complete methodology on mini-C source.
@@ -60,65 +95,12 @@ pub fn run_flow(
     platform: &Platform,
     constraint: u64,
 ) -> Result<FlowOutcome, CoreError> {
-    run_flow_with(
-        source,
-        inputs,
-        platform,
-        constraint,
-        EngineConfig::default(),
-    )
-}
-
-/// [`run_flow`] with an explicit engine policy.
-///
-/// # Errors
-///
-/// Same as [`run_flow`].
-pub fn run_flow_with(
-    source: &str,
-    inputs: &[(&str, &[i64])],
-    platform: &Platform,
-    constraint: u64,
-    config: EngineConfig,
-) -> Result<FlowOutcome, CoreError> {
-    run_flow_cached(
-        source,
-        inputs,
-        platform,
-        constraint,
-        config,
-        &MappingCache::new(),
-    )
-}
-
-/// [`run_flow_with`] serving the fabric mappings from a shared
-/// [`MappingCache`]. Re-running the flow on the same source and platform
-/// (e.g. when exploring constraints) then reuses the mappings instead of
-/// recomputing them — the cache keys include a structural fingerprint of
-/// the compiled CDFG, so one cache can serve many different sources.
-///
-/// # Errors
-///
-/// Same as [`run_flow`].
-pub fn run_flow_cached(
-    source: &str,
-    inputs: &[(&str, &[i64])],
-    platform: &Platform,
-    constraint: u64,
-    config: EngineConfig,
-    cache: &MappingCache,
-) -> Result<FlowOutcome, CoreError> {
-    let program = amdrel_minic::compile(source, "main")?;
-    let execution = Interpreter::new(&program.ir).run(inputs)?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    let result = PartitioningEngine::new(&program.cdfg, &analysis, platform)
-        .with_config(config)
-        .with_mapping_cache(cache)
-        .run(constraint)?;
+    let Analyzed {
+        program,
+        execution,
+        analysis,
+    } = analyze(source, inputs)?;
+    let result = PartitioningEngine::new(&program.cdfg, &analysis, platform).run(constraint)?;
     Ok(FlowOutcome {
         program,
         execution,

@@ -12,16 +12,18 @@
 //!   constraint check, then kernel-by-kernel movement to the coarse-grain
 //!   hardware with eq. (2) accounting
 //!   (`t_total = t_FPGA + t_coarse + t_comm`);
-//! * [`run_flow`] — one-call convenience wrapper (compile → profile →
-//!   analyse → partition);
+//! * [`analyze`] — the Figure 2 analysis step in one call (compile →
+//!   profile → Table 1 weights), returning [`Analyzed`];
+//! * [`run_flow`] — one-call convenience wrapper (analyse → partition);
 //! * [`run_grid`] / [`format_paper_table`] — the Tables 2/3 experiment
-//!   sweep and its paper-layout rendering;
+//!   sweep over a [`GridSpec`] on `jobs` workers, and its paper-layout
+//!   rendering;
 //! * [`MappingCache`] — shared memoisation of the fabric mappings (fine
 //!   by FPGA config, coarse by datapath/scheduler config), so design-space
 //!   sweeps map each configuration once;
-//! * [`run_grid_parallel`] — the grid sweep on scoped threads, cell-for-
-//!   cell identical output to [`run_grid`] (worker count controllable via
-//!   [`run_grid_parallel_jobs`]);
+//! * [`map_parallel`] — the workspace's one scoped-thread fan-out, in
+//!   item order at every worker count (behind [`run_grid`] and the
+//!   explorer's cell and contention prefill);
 //! * [`rng`] — the deterministic seeded [`rng::SplitMix64`] stream that
 //!   makes design-space exploration reproducible and
 //!   thread-count-independent;
@@ -86,10 +88,9 @@ pub use engine::{
     Assignment, Breakdown, EngineConfig, MoveRecord, PartitionResult, PartitioningEngine,
 };
 pub use experiment::{
-    format_paper_table, run_grid, run_grid_cached, run_grid_parallel, run_grid_parallel_cached,
-    run_grid_parallel_jobs, worker_count, ExperimentGrid, GridCell, GridSpec,
+    format_paper_table, map_parallel, run_grid, ExperimentGrid, GridCell, GridSpec,
 };
-pub use flow::{run_flow, run_flow_cached, run_flow_with, FlowOutcome};
+pub use flow::{analyze, run_flow, Analyzed, FlowOutcome};
 pub use metrics::MetricsRegistry;
 pub use pipeline::{pipeline_report, PipelineReport, Stage};
 pub use platform::{CommModel, Platform, ReconfigModel};

@@ -22,9 +22,8 @@ use crate::objective::{Objective, ObjectiveSet, Objectives};
 use crate::space::{DesignSpace, PointIdx};
 use amdrel_cdfg::Cdfg;
 use amdrel_core::{
-    run_grid_parallel_jobs, worker_count, BlockEnergyCosts, Breakdown, CacheStats, CoreError,
-    EnergyBreakdown, EnergyModel, GridSpec, MappingCache, PartitionResult, PartitioningEngine,
-    Platform,
+    map_parallel, BlockEnergyCosts, Breakdown, CacheStats, CoreError, EnergyBreakdown, EnergyModel,
+    MappingCache, PartitioningEngine, Platform,
 };
 use amdrel_finegrain::CdfgFineGrainMapping;
 use amdrel_floorplan::{FabricGrid, Floorplanner, Footprint, FragmentationStats};
@@ -33,8 +32,8 @@ use amdrel_runtime::AppProfile;
 use amdrel_trace::TraceSink;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A timing constraint no real application meets (1 FPGA cycle), forcing
 /// the engine to drain the entire kernel queue and hand back the full
@@ -470,78 +469,47 @@ impl<'a> Evaluator<'a> {
         Floorplanner.place(&grid, &footprints).stats()
     }
 
-    /// Compute (or adopt from the grid) every cell of `space` using the
-    /// parallel grid sweep — the exhaustive strategy's fast path. `jobs`
-    /// is forwarded to [`run_grid_parallel_jobs`] (0 = automatic).
-    ///
-    /// Already-memoised cells are never recomputed: the parallel grid is
-    /// used when the cell map is cold (the common exhaustive case), and a
-    /// partially warm evaluator falls back to filling only the missing
-    /// cells, so `engine_runs` counts every engine run exactly once.
-    /// Workload simulations are left to [`Self::prefill_contention`],
-    /// which scores them on the same `jobs` threads once the cells exist.
+    /// Compute every cell of `space` that is not memoised yet, on up to
+    /// `jobs` scoped threads ([`map_parallel`]; 0 = automatic) — the
+    /// exhaustive strategy's fast path. Each missing cell runs the engine
+    /// through the same function as [`Self::evaluate`]'s on-demand path,
+    /// counting one engine run each; the cells are then memoised in
+    /// area-major order, so effort counters are identical at every `jobs`
+    /// setting. Warm cells are neither recomputed nor counted as hits
+    /// (prefill is bookkeeping, not a point evaluation). Workload
+    /// simulations are left to [`Self::prefill_contention`], which scores
+    /// them on the same `jobs` threads once the cells exist.
     ///
     /// # Errors
     ///
-    /// The first configuration (in area-major grid order) whose mapping
-    /// fails.
+    /// The first missing configuration (in area-major grid order) whose
+    /// mapping fails; the cells before it are memoised.
     pub fn prefill_cells(&self, space: &DesignSpace, jobs: usize) -> Result<(), CoreError> {
-        let all_cold = self
-            .cells
-            .lock()
-            .expect("cell cache lock poisoned")
-            .is_empty();
-        if !all_cold {
-            // Partially warm (e.g. another strategy already explored on
-            // this evaluator): compute just the missing cells. Presence is
-            // checked first so prefilling neither recomputes warm cells
-            // nor skews the hit counter (prefill is bookkeeping, not a
-            // point evaluation).
-            for a_idx in 0..space.areas.len() {
-                for d_idx in 0..space.datapaths.len() {
-                    let warm = self
-                        .cells
-                        .lock()
-                        .expect("cell cache lock poisoned")
-                        .contains_key(&(a_idx, d_idx));
-                    if !warm {
-                        self.cell(space, a_idx, d_idx)?;
-                    }
-                }
-            }
-            return Ok(());
-        }
-        let spec = GridSpec {
-            app: self.app,
-            cdfg: self.cdfg,
-            analysis: self.analysis,
-            base: self.base,
-            areas: &space.areas,
-            datapaths: &space.datapaths,
-            constraint: FULL_DRAIN,
+        let missing: Vec<(usize, usize)> = {
+            let cells = self.cells.lock().expect("cell cache lock poisoned");
+            (0..space.areas.len())
+                .flat_map(|a_idx| (0..space.datapaths.len()).map(move |d_idx| (a_idx, d_idx)))
+                .filter(|key| !cells.contains_key(key))
+                .collect()
         };
-        let grid = run_grid_parallel_jobs(&spec, self.cache, jobs)?;
-        let d = space.datapaths.len();
-        for (i, grid_cell) in grid.cells.iter().enumerate() {
-            let (a_idx, d_idx) = (i / d, i % d);
+        let computed = map_parallel(&missing, jobs, |&(a_idx, d_idx)| {
+            self.compute_cell(space, a_idx, d_idx)
+        });
+        for (key, cell) in missing.into_iter().zip(computed) {
+            let cell = Arc::new(cell?);
             let mut cells = self.cells.lock().expect("cell cache lock poisoned");
-            if cells.contains_key(&(a_idx, d_idx)) {
-                continue;
-            }
-            self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            let cell = self.cell_from_result(space, a_idx, d_idx, &grid_cell.result)?;
-            cells.insert((a_idx, d_idx), Arc::new(cell));
+            cells.entry(key).or_insert(cell);
         }
         Ok(())
     }
 
     /// Score every contention key `(area, datapath, moved)` of `space`
     /// that is not memoised yet, each once, on up to `jobs` scoped
-    /// threads (0 = automatic, see [`worker_count`]) — the exhaustive
+    /// threads (0 = automatic, see [`map_parallel`]) — the exhaustive
     /// strategy's fast path for runtime objectives. Scores go through the
     /// same function as on-demand scoring and are memoised in flat order,
     /// so metrics and `sim_runs` are identical at every `jobs` setting.
-    /// Missing cells are computed first, as [`Self::evaluate`] would. No
+    /// Missing cells are computed first by [`Self::prefill_cells`]. No
     /// point is evaluated and no cell hit is counted. A no-op under purely
     /// static objective sets.
     ///
@@ -558,26 +526,19 @@ impl<'a> Evaluator<'a> {
             return Ok(());
         }
         let runtime = self.runtime();
+        self.prefill_cells(space, jobs)?;
         let mut todo = Vec::new();
-        for a_idx in 0..space.areas.len() {
-            for d_idx in 0..space.datapaths.len() {
-                // Read warm cells directly: prefilling is bookkeeping, not
-                // a point evaluation, so it must not count cell hits.
-                let warm = self
-                    .cells
-                    .lock()
-                    .expect("cell cache lock poisoned")
-                    .get(&(a_idx, d_idx))
-                    .cloned();
-                let cell = match warm {
-                    Some(cell) => cell,
-                    None => self.cell(space, a_idx, d_idx)?,
-                };
-                let sims = self.sims.lock().expect("sim cache lock poisoned");
-                for moved in 0..=space.max_kernel_budget.min(cell.budgets.len() - 1) {
-                    let key = (a_idx, d_idx, moved);
-                    if !sims.contains_key(&key) {
-                        todo.push((key, Arc::clone(&cell)));
+        {
+            let cells = self.cells.lock().expect("cell cache lock poisoned");
+            let sims = self.sims.lock().expect("sim cache lock poisoned");
+            for a_idx in 0..space.areas.len() {
+                for d_idx in 0..space.datapaths.len() {
+                    let cell = &cells[&(a_idx, d_idx)];
+                    for moved in 0..=space.max_kernel_budget.min(cell.budgets.len() - 1) {
+                        let key = (a_idx, d_idx, moved);
+                        if !sims.contains_key(&key) {
+                            todo.push((key, Arc::clone(cell)));
+                        }
                     }
                 }
             }
@@ -609,27 +570,26 @@ impl<'a> Evaluator<'a> {
             self.cell_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(cell));
         }
+        let cell = Arc::new(self.compute_cell(space, a_idx, d_idx)?);
+        cells.insert((a_idx, d_idx), Arc::clone(&cell));
+        Ok(cell)
+    }
+
+    /// Run the engine on one cell under a full-drain constraint (counted
+    /// in `engine_runs`) and price every kernel budget from its move
+    /// trace: timing straight from the engine's breakdowns, energy by
+    /// replaying the trace through [`BlockEnergyCosts`] deltas.
+    fn compute_cell(
+        &self,
+        space: &DesignSpace,
+        a_idx: usize,
+        d_idx: usize,
+    ) -> Result<Cell, CoreError> {
         self.engine_runs.fetch_add(1, Ordering::Relaxed);
         let platform = self.platform_for(space, a_idx, d_idx);
         let result = PartitioningEngine::new(self.cdfg, self.analysis, &platform)
             .with_mapping_cache(self.cache)
             .run(FULL_DRAIN)?;
-        let cell = Arc::new(self.cell_from_result(space, a_idx, d_idx, &result)?);
-        cells.insert((a_idx, d_idx), Arc::clone(&cell));
-        Ok(cell)
-    }
-
-    /// Price every kernel budget of a cell from one full-drain move trace:
-    /// timing straight from the engine's breakdowns, energy by replaying
-    /// the trace through [`BlockEnergyCosts`] deltas.
-    fn cell_from_result(
-        &self,
-        space: &DesignSpace,
-        a_idx: usize,
-        d_idx: usize,
-        result: &PartitionResult,
-    ) -> Result<Cell, CoreError> {
-        let platform = self.platform_for(space, a_idx, d_idx);
         // The engine just mapped this configuration, so this is a cache hit.
         let fine = self.cache.fine(self.cdfg, &platform.fpga)?;
         let costs = BlockEnergyCosts::compute(self.cdfg, self.analysis, &fine, &self.model);
@@ -665,34 +625,4 @@ impl<'a> Evaluator<'a> {
         platform.datapath = space.datapaths[d_idx].clone();
         platform
     }
-}
-
-/// `f` over `items` on up to `jobs` scoped threads (0 = automatic), in
-/// item order. Workers claim the next unclaimed item, so uneven item
-/// costs balance; each result lands in its item's slot, so the output
-/// does not depend on which thread ran what.
-fn map_parallel<T: Sync, R: Send + Sync>(
-    items: &[T],
-    jobs: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = worker_count(jobs).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let _ = slots[i].set(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every item is claimed once"))
-        .collect()
 }

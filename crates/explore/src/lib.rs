@@ -6,7 +6,7 @@
 //! partitioning/scheduling optimiser both exist to *search* such spaces.
 //! This crate turns the workspace's fast evaluator (incremental
 //! [`PartitioningEngine`](amdrel_core::PartitioningEngine), shared
-//! [`MappingCache`](amdrel_core::MappingCache), parallel grid sweep) into
+//! [`MappingCache`](amdrel_core::MappingCache), parallel cell prefill) into
 //! that explorer:
 //!
 //! * [`DesignSpace`] / [`PointIdx`] — the joint space of FPGA areas ×
@@ -27,8 +27,8 @@
 //! * [`ParetoArchive`] — the non-dominated frontier over the selected
 //!   objective vector (any arity), with deterministic iteration order
 //!   and deterministic post-search pruning;
-//! * [`SearchStrategy`] — pluggable search: [`Exhaustive`] (the parallel
-//!   grid sweep), [`RandomSampling`], and [`SimulatedAnnealing`], all
+//! * [`SearchStrategy`] — pluggable search: [`Exhaustive`] (every cell,
+//!   prefilled in parallel), [`RandomSampling`], and [`SimulatedAnnealing`], all
 //!   seeded from [`amdrel_core::rng::SplitMix64`] so frontiers are
 //!   bit-reproducible and `--jobs`-independent;
 //! * [`explore`] / [`ExploreReport`] — one-call driver with effort
@@ -40,11 +40,10 @@
 //! # Examples
 //!
 //! ```
-//! use amdrel_core::{EnergyModel, MappingCache, Platform};
+//! use amdrel_core::{analyze, EnergyModel, MappingCache, Platform};
 //! use amdrel_explore::{
 //!     explore, DesignSpace, Evaluator, ExploreConfig, SimulatedAnnealing,
 //! };
-//! use amdrel_profiler::{AnalysisReport, Interpreter, WeightTable};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let src = r#"
@@ -57,10 +56,7 @@
 //!         return y[63];
 //!     }
 //! "#;
-//! let program = amdrel_minic::compile(src, "main")?;
-//! let execution = Interpreter::new(&program.ir).run(&[])?;
-//! let analysis =
-//!     AnalysisReport::analyze(&program.cdfg, &execution.block_counts, &WeightTable::paper());
+//! let app = analyze(src, &[])?;
 //! let base = Platform::paper(1500, 2);
 //! let space = DesignSpace {
 //!     areas: vec![1200, 1500, 5000],
@@ -73,7 +69,7 @@
 //! };
 //! let cache = MappingCache::new();
 //! let eval = Evaluator::new(
-//!     "toy", &program.cdfg, &analysis, &base, EnergyModel::default(), &cache,
+//!     "toy", &app.program.cdfg, &app.analysis, &base, EnergyModel::default(), &cache,
 //! );
 //! let report = explore(&eval, &space, &SimulatedAnnealing::default(), &ExploreConfig {
 //!     seed: 42,
@@ -111,7 +107,7 @@ mod tests {
     use super::*;
     use amdrel_coarsegrain::CgcDatapath;
     use amdrel_core::{EnergyBreakdown, EnergyModel, MappingCache, Platform};
-    use amdrel_profiler::{AnalysisReport, Interpreter, WeightTable};
+    use amdrel_profiler::AnalysisReport;
 
     pub(crate) fn toy() -> (amdrel_minic::CompiledProgram, AnalysisReport) {
         let src = r#"
@@ -127,10 +123,8 @@ mod tests {
                 return acc;
             }
         "#;
-        let c = amdrel_minic::compile(src, "main").unwrap();
-        let exec = Interpreter::new(&c.ir).run(&[]).unwrap();
-        let a = AnalysisReport::analyze(&c.cdfg, &exec.block_counts, &WeightTable::paper());
-        (c, a)
+        let app = amdrel_core::analyze(src, &[]).unwrap();
+        (app.program, app.analysis)
     }
 
     pub(crate) fn toy_space() -> DesignSpace {
@@ -481,9 +475,12 @@ mod tests {
         assert_ne!(other.contention, first.contention);
     }
 
-    /// Prefilled scores are the on-demand ones: scoring every point in
-    /// parallel up front prices each point exactly as evaluating it cold,
-    /// with one simulation per distinct contention key and no cell hits.
+    /// Prefilled scores are the on-demand ones: computing every missing
+    /// cell and scoring every point in parallel up front prices each point
+    /// exactly as evaluating it cold, with one engine run per cell the
+    /// evaluator had not seen, one simulation per distinct contention key,
+    /// and no cell hits — from a cold evaluator or one a few on-demand
+    /// evaluations already warmed, at every worker count.
     #[test]
     fn prefilled_contention_matches_on_demand_scoring() {
         use amdrel_runtime::{AppProfile, Fcfs};
@@ -503,29 +500,56 @@ mod tests {
                 .with_objectives(ObjectiveSet::parse("cycles,area,energy,p95").unwrap())
                 .with_runtime(&contention)
         };
-        let (cold, warm) = (evaluator(&cold_cache), evaluator(&warm_cache));
-        warm.prefill_cells(&space, 2).unwrap();
-        warm.prefill_contention(&space, 2).unwrap();
-        let prefilled = warm.stats();
-        assert_eq!(prefilled.points_evaluated + prefilled.cell_hits, 0);
-        for flat in 0..space.len() {
-            let p = space.point(flat);
-            assert_eq!(
-                warm.evaluate(&space, p).unwrap(),
-                cold.evaluate(&space, p).unwrap()
-            );
-        }
-        let (warm, cold) = (warm.stats(), cold.stats());
-        assert_eq!(
-            (warm.points_evaluated, warm.engine_runs, warm.sim_runs),
-            (cold.points_evaluated, cold.engine_runs, cold.sim_runs)
-        );
-        assert_eq!(prefilled.sim_runs, cold.sim_runs);
-        // The cold evaluator misses once per cell; the warm one only hits.
-        assert_eq!(warm.cell_hits, cold.cell_hits + cold.engine_runs);
+        let cold = evaluator(&cold_cache);
+        let expected: Vec<PointEval> = (0..space.len())
+            .map(|flat| cold.evaluate(&space, space.point(flat)).unwrap())
+            .collect();
+        let cold = cold.stats();
         // Budgets past the kernel count share one key, so fewer
         // simulations than points.
         assert!(cold.sim_runs < space.len() as u64);
+        // Two points of the first cell and one of the last.
+        let on_demand = [space.point(0), space.point(1), space.point(space.len() - 1)];
+        for (jobs, warm_up) in [
+            (2, &[][..]),
+            (1, &on_demand),
+            (2, &on_demand),
+            (64, &on_demand),
+        ] {
+            let warm = evaluator(&warm_cache);
+            for &p in warm_up {
+                warm.evaluate(&space, p).unwrap();
+            }
+            let before = warm.stats();
+            warm.prefill_cells(&space, jobs).unwrap();
+            warm.prefill_contention(&space, jobs).unwrap();
+            let prefilled = warm.stats().since(&before);
+            assert_eq!(
+                prefilled.engine_runs,
+                space.cells() as u64 - before.engine_runs,
+                "jobs={jobs}: one engine run per cold cell"
+            );
+            assert_eq!(prefilled.points_evaluated + prefilled.cell_hits, 0);
+            assert_eq!(before.sim_runs + prefilled.sim_runs, cold.sim_runs);
+            for (flat, expected) in expected.iter().enumerate() {
+                assert_eq!(&warm.evaluate(&space, space.point(flat)).unwrap(), expected);
+            }
+            let warm = warm.stats();
+            assert_eq!(
+                (
+                    warm.points_evaluated - warm_up.len() as u64,
+                    warm.engine_runs,
+                    warm.sim_runs
+                ),
+                (cold.points_evaluated, cold.engine_runs, cold.sim_runs)
+            );
+            // The cold evaluator misses once per cell; after prefill the
+            // warm one only hits.
+            assert_eq!(
+                warm.since(&before).cell_hits,
+                cold.cell_hits + cold.engine_runs
+            );
+        }
     }
 
     #[test]

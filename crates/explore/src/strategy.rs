@@ -2,7 +2,7 @@
 //!
 //! Every strategy is a pure function of `(space, seed)` given a
 //! deterministic evaluator: [`Exhaustive`] enumerates everything (cells
-//! on the parallel grid sweep), [`RandomSampling`] draws a seeded uniform
+//! prefilled on parallel workers), [`RandomSampling`] draws a seeded uniform
 //! sample, and [`SimulatedAnnealing`] walks seeded mutations of the
 //! current point with a cooling acceptance rule — the metaheuristic shape
 //! of Chen et al.'s combined partitioning/scheduling/floorplanning
@@ -26,10 +26,11 @@ pub struct ExploreConfig {
     /// Maximum number of design-point evaluations for sampling/annealing
     /// strategies ([`Exhaustive`] always evaluates the whole space).
     pub eval_budget: usize,
-    /// Worker threads for [`Exhaustive`]'s parallel cell evaluation
-    /// ([`amdrel_core::run_grid_parallel_jobs`]) and contention scoring
-    /// ([`Evaluator::prefill_contention`]); 0 = automatic. Results and
-    /// effort counters are identical at every setting.
+    /// Worker threads for [`Exhaustive`]'s cell prefill
+    /// ([`Evaluator::prefill_cells`]) and contention scoring
+    /// ([`Evaluator::prefill_contention`]), both on
+    /// [`amdrel_core::map_parallel`]; 0 = automatic. Results and effort
+    /// counters are identical at every setting.
     pub jobs: usize,
 }
 
@@ -104,10 +105,10 @@ pub trait SearchStrategy {
     ) -> Result<(), CoreError>;
 }
 
-/// Enumerate the entire space. Cells are computed by the parallel grid
-/// sweep ([`Evaluator::prefill_cells`]), then, under runtime objectives,
-/// every distinct contention key is scored once on the same threads
-/// ([`Evaluator::prefill_contention`]), both honouring
+/// Enumerate the entire space. Every missing cell is computed once on
+/// parallel workers ([`Evaluator::prefill_cells`]), then, under runtime
+/// objectives, every distinct contention key is scored once on the same
+/// threads ([`Evaluator::prefill_contention`]), both honouring
 /// [`ExploreConfig::jobs`]; the points are then priced in flat order from
 /// the memoised results. `eval_budget` and `seed` are ignored. The
 /// result is the exact Pareto frontier of the space — the reference the

@@ -10,7 +10,7 @@ use amdrel_explore::{
     explore, DesignSpace, Evaluator, Exhaustive, ExploreConfig, Insert, Objectives, ParetoArchive,
     PointEval, PointIdx, RandomSampling, SearchStrategy, SimulatedAnnealing,
 };
-use amdrel_profiler::{AnalysisReport, Interpreter, WeightTable};
+use amdrel_profiler::AnalysisReport;
 use proptest::prelude::*;
 
 /// A synthetic evaluated point over an arbitrary objective vector;
@@ -235,10 +235,8 @@ fn toy() -> (amdrel_minic::CompiledProgram, AnalysisReport) {
             return acc;
         }
     "#;
-    let c = amdrel_minic::compile(src, "main").unwrap();
-    let exec = Interpreter::new(&c.ir).run(&[]).unwrap();
-    let a = AnalysisReport::analyze(&c.cdfg, &exec.block_counts, &WeightTable::paper());
-    (c, a)
+    let app = amdrel_core::analyze(src, &[]).unwrap();
+    (app.program, app.analysis)
 }
 
 fn space() -> DesignSpace {

@@ -8,18 +8,12 @@
 
 use amdrel_apps::{jpeg, ofdm};
 use amdrel_coarsegrain::CgcDatapath;
-use amdrel_core::{run_grid, Platform};
+use amdrel_core::{run_grid, GridSpec, MappingCache, Platform};
 use amdrel_finegrain::AreaLibrary;
-use amdrel_profiler::{AnalysisReport, WeightTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ofdm_w = ofdm::workload(2004);
-    let (ofdm_p, ofdm_e) = ofdm_w.compile_and_profile()?;
-    let ofdm_a = AnalysisReport::analyze(&ofdm_p.cdfg, &ofdm_e.block_counts, &WeightTable::paper());
-
-    let jpeg_w = jpeg::workload(64, 2004); // small image: same structure, fast
-    let (jpeg_p, jpeg_e) = jpeg_w.compile_and_profile()?;
-    let jpeg_a = AnalysisReport::analyze(&jpeg_p.cdfg, &jpeg_e.block_counts, &WeightTable::paper());
+    let ofdm = ofdm::workload(2004).analyze()?;
+    let jpeg = jpeg::workload(64, 2004).analyze()?; // small image: same structure, fast
 
     println!("paper targets: OFDM init ratio 2.12, CGC ratio 1.28, red 78-82% (A=1500) / 54-63% (A=5000)");
     println!("               JPEG init ratio 1.49, CGC ratio 1.02, red 43% / 16-18%");
@@ -50,16 +44,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             base.fpga.reconfig_cycles = reconfig;
 
             let mut stats = Vec::new();
-            for (cdfg, analysis) in [(&ofdm_p.cdfg, &ofdm_a), (&jpeg_p.cdfg, &jpeg_a)] {
-                let grid = run_grid(
-                    "x",
-                    cdfg,
-                    analysis,
-                    &base,
-                    &[1500, 5000],
-                    &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
-                    1, // impossible constraint: move all kernels, observe asymptote
-                )?;
+            for app in [&ofdm, &jpeg] {
+                let spec = GridSpec {
+                    app: "x",
+                    cdfg: &app.program.cdfg,
+                    analysis: &app.analysis,
+                    base: &base,
+                    areas: &[1500, 5000],
+                    datapaths: &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
+                    constraint: 1, // impossible constraint: move all kernels, observe asymptote
+                };
+                let grid = run_grid(&spec, &MappingCache::new(), 0)?;
                 let init_ratio = grid.cells[0].result.initial_cycles as f64
                     / grid.cells[2].result.initial_cycles as f64;
                 let cgc2 = grid.cells[0].result.breakdown.t_coarse_cgc as f64;

@@ -3,15 +3,14 @@
 
 use amdrel_apps::{jpeg, ofdm};
 use amdrel_coarsegrain::{map_dfg, CgcDatapath, SchedulerConfig};
-use amdrel_profiler::{AnalysisReport, WeightTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, w) in [
         ("OFDM", ofdm::workload(2004)),
         ("JPEG", jpeg::workload(64, 2004)),
     ] {
-        let (p, e) = w.compile_and_profile()?;
-        let a = AnalysisReport::analyze(&p.cdfg, &e.block_counts, &WeightTable::paper());
+        let app = w.analyze()?;
+        let (p, a) = (&app.program, &app.analysis);
         println!("== {name} ==");
         println!(
             "{:>4} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6}",

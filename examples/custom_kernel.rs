@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example custom_kernel [path/to/src.c]`
 
 use amdrel::prelude::*;
-use amdrel_core::run_flow_with;
 
 const DEFAULT_SRC: &str = r#"
     /* 2-D 3x3 convolution over a 62x62 interior of a 64x64 image. */
@@ -52,18 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let img: Vec<i64> = (0..4096).map(|i| (i * 31 % 251) as i64).collect();
     let kern: Vec<i64> = vec![1, 2, 1, 2, 4, 2, 1, 2, 1];
-    let outcome = run_flow_with(
-        &source,
-        &[("img", &img), ("kern", &kern)],
-        &platform,
-        40_000,
-        EngineConfig {
+    let app = analyze(&source, &[("img", &img), ("kern", &kern)])?;
+    let r = PartitioningEngine::new(&app.program.cdfg, &app.analysis, &platform)
+        .with_config(EngineConfig {
             skip_unprofitable: true,
-        },
-    )?;
+        })
+        .run(40_000)?;
 
-    println!("{}", outcome.analysis.format_table1("hottest kernels", 8));
-    let r = &outcome.result;
+    println!("{}", app.analysis.format_table1("hottest kernels", 8));
     println!(
         "initial {} -> final {} cycles ({:.1}% reduction, constraint {} {})",
         r.initial_cycles,

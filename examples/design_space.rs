@@ -11,12 +11,9 @@ use amdrel::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = ofdm::workload(2004);
-    let (program, execution) = workload.compile_and_profile()?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = workload.analyze()?;
 
     // Note: below ~1030 area units the 32-bit multiplier (720 units) no
     // longer fits in the routable 70% and the fine-grain mapper correctly

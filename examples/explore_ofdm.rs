@@ -8,12 +8,9 @@ use amdrel::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = ofdm::workload(2004);
-    let (program, execution) = workload.compile_and_profile()?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = workload.analyze()?;
     let base = Platform::paper(1500, 2);
     let space = ofdm::design_space();
 

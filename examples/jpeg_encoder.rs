@@ -10,8 +10,7 @@
 
 use amdrel_apps::{jpeg, paper};
 use amdrel_coarsegrain::CgcDatapath;
-use amdrel_core::{format_paper_table, run_grid, Platform};
-use amdrel_profiler::{AnalysisReport, WeightTable};
+use amdrel_core::{format_paper_table, run_grid, GridSpec, MappingCache, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim: usize = std::env::args()
@@ -22,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = jpeg::workload(dim, 2004);
     println!("== {} ==", workload.name);
 
-    let (program, execution) = workload.compile_and_profile()?;
+    let app = workload.analyze()?;
+    let (program, execution, analysis) = (&app.program, &app.execution, &app.analysis);
     println!(
         "compiled: {} basic blocks, {} ops; profile retired {} instructions; {} bits emitted",
         program.cdfg.len(),
@@ -31,11 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         execution.return_value.unwrap_or(0),
     );
 
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
     println!();
     println!(
         "{}",
@@ -46,16 +41,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the paper's constraint-to-workload proportion.
     let constraint =
         paper::JPEG_CONSTRAINT * (dim * dim) as u64 / (jpeg::PAPER_DIM * jpeg::PAPER_DIM) as u64;
-    let base = Platform::paper(1500, 2);
-    let grid = run_grid(
-        "JPEG encoder",
-        &program.cdfg,
-        &analysis,
-        &base,
-        &[1500, 5000],
-        &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
+    let spec = GridSpec {
+        app: "JPEG encoder",
+        cdfg: &program.cdfg,
+        analysis,
+        base: &Platform::paper(1500, 2),
+        areas: &[1500, 5000],
+        datapaths: &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
         constraint,
-    )?;
+    };
+    let grid = run_grid(&spec, &MappingCache::new(), 0)?;
     println!("{}", format_paper_table(&grid));
 
     println!("paper Table 3 for comparison (constraint 11e6):");

@@ -18,12 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unknown app '{other}' (ofdm|jpeg|sobel)").into()),
     };
 
-    let (program, execution) = workload.compile_and_profile()?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = workload.analyze()?;
     let hot = analysis.top_kernels(1)[0].block;
     let bb = program.cdfg.block(hot);
     println!(

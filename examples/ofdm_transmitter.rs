@@ -10,14 +10,14 @@
 
 use amdrel_apps::{ofdm, paper};
 use amdrel_coarsegrain::CgcDatapath;
-use amdrel_core::{format_paper_table, run_grid, Platform};
-use amdrel_profiler::{AnalysisReport, WeightTable};
+use amdrel_core::{format_paper_table, run_grid, GridSpec, MappingCache, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = ofdm::workload(2004);
     println!("== {} ==", workload.name);
 
-    let (program, execution) = workload.compile_and_profile()?;
+    let app = workload.analyze()?;
+    let (program, execution, analysis) = (&app.program, &app.execution, &app.analysis);
     println!(
         "compiled: {} basic blocks, {} ops; profile retired {} instructions",
         program.cdfg.len(),
@@ -25,27 +25,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         execution.instrs_retired,
     );
 
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
     println!();
     println!(
         "{}",
         analysis.format_table1("Table 1 analogue — ordered total weights", 8)
     );
 
-    let base = Platform::paper(1500, 2);
-    let grid = run_grid(
-        "OFDM transmitter",
-        &program.cdfg,
-        &analysis,
-        &base,
-        &[1500, 5000],
-        &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
-        paper::OFDM_CONSTRAINT,
-    )?;
+    let spec = GridSpec {
+        app: "OFDM transmitter",
+        cdfg: &program.cdfg,
+        analysis,
+        base: &Platform::paper(1500, 2),
+        areas: &[1500, 5000],
+        datapaths: &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
+        constraint: paper::OFDM_CONSTRAINT,
+    };
+    let grid = run_grid(&spec, &MappingCache::new(), 0)?;
     println!("{}", format_paper_table(&grid));
 
     println!("paper Table 2 for comparison:");

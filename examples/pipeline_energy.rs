@@ -9,12 +9,9 @@ use amdrel_core::{partition_for_energy, pipeline_report, EnergyModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = ofdm::workload(2004);
-    let (program, execution) = workload.compile_and_profile()?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = workload.analyze()?;
     let platform = Platform::paper(1500, 3);
 
     // ---- timing-constrained partitioning (the paper's core flow) ----

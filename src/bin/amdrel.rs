@@ -594,21 +594,16 @@ fn fault_config(opts: &Options) -> (FaultSpec, RecoveryPolicy) {
 fn analyzed(opts: &Options) -> Result<(amdrel_minic::CompiledProgram, AnalysisReport), String> {
     let source = std::fs::read_to_string(&opts.source_path)
         .map_err(|e| format!("{}: {e}", opts.source_path))?;
-    let program = compile(&source, "main").map_err(|e| e.to_string())?;
     let inputs: Vec<(&str, &[i64])> = opts
         .inputs
         .iter()
         .map(|(n, v)| (n.as_str(), v.as_slice()))
         .collect();
-    let execution = Interpreter::new(&program.ir)
-        .run(&inputs)
-        .map_err(|e| e.to_string())?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    Ok((program, analysis))
+    // Report the frontend's or profiler's own message, unprefixed.
+    let app = analyze(&source, &inputs).map_err(|e| {
+        std::error::Error::source(&e).map_or_else(|| e.to_string(), ToString::to_string)
+    })?;
+    Ok((app.program, app.analysis))
 }
 
 /// Render a recorded event trace in the CLI's `--trace-format`.
@@ -730,8 +725,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 datapaths: &datapaths,
                 constraint,
             };
-            let grid =
-                run_grid_parallel_jobs(&spec, &cache, opts.jobs).map_err(|e| e.to_string())?;
+            let grid = run_grid(&spec, &cache, opts.jobs).map_err(|e| e.to_string())?;
             if opts.json {
                 print!(
                     "{}",

@@ -75,9 +75,8 @@ pub mod prelude {
     pub use amdrel_coarsegrain::{CgcDatapath, CgcGeometry, Priority, SchedulerConfig};
     pub use amdrel_core::ReconfigModel;
     pub use amdrel_core::{
-        format_paper_table, run_flow, run_flow_cached, run_grid, run_grid_cached,
-        run_grid_parallel, run_grid_parallel_cached, run_grid_parallel_jobs, Assignment,
-        CacheStats, CommModel, EnergyModel, EngineConfig, GridSpec, MappingCache, PartitionResult,
+        analyze, format_paper_table, run_flow, run_grid, Analyzed, Assignment, CacheStats,
+        CommModel, EnergyModel, EngineConfig, GridSpec, MappingCache, PartitionResult,
         PartitioningEngine, Platform,
     };
     pub use amdrel_explore::{

@@ -70,6 +70,15 @@ fn raw<'a>(obj: &'a str, key: &str) -> &'a str {
     rest[..end].trim()
 }
 
+/// The string elements of a flat `[...]` array, in order.
+fn strings_in(array: &str) -> Vec<&str> {
+    array[1..array.len() - 1]
+        .split(',')
+        .map(|s| s.trim().trim_matches('"'))
+        .filter(|s| !s.is_empty())
+        .collect()
+}
+
 fn u64_field(obj: &str, key: &str) -> u64 {
     raw(obj, key)
         .parse()
@@ -113,6 +122,8 @@ fn bench_runtime_policy_rows_replay_from_the_library() {
         u64_field(workload, "mean_interarrival"),
         spec.mean_interarrival
     );
+    let apps: Vec<&str> = profiles.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(strings_in(section(workload, "apps")), apps);
     let jobs = spec.generate(&profiles);
     let sim = Simulation::new(&platform).profiles(&profiles);
     let rows = objects_in(section(&json, "policies"));
@@ -298,9 +309,26 @@ fn bench_runtime_scaling_and_sharded_rows_replay_from_the_library() {
         r.latency_source.as_str()
     );
 
+    // The sharded row replays from its own workload fields.
     let k = u64_field(sharded, "shards") as usize;
     assert!(k >= 2, "the sharded row must actually shard");
-    let s = sim.shards(k).run_mix(&spec);
+    let sharded_tenants = synthetic_tenants(u64_field(sharded, "tenants") as usize);
+    let sharded_spec = WorkloadSpec::uniform(
+        u64_field(sharded, "seed"),
+        u64_field(sharded, "jobs") as usize,
+        &sharded_tenants,
+        u64_field(sharded, "load_percent"),
+    );
+    assert_eq!(
+        u64_field(sharded, "mean_interarrival"),
+        sharded_spec.mean_interarrival
+    );
+    let s = Simulation::new(&platform)
+        .profiles(&sharded_tenants)
+        .policy(&Fcfs)
+        .sketch_mode(SketchMode::Sketched)
+        .shards(k)
+        .run_mix(&sharded_spec);
     assert_eq!(str_field(sharded, "policy"), s.policy);
     assert_eq!(u64_field(sharded, "completed"), s.completed());
     assert_eq!(u64_field(sharded, "rejected"), s.rejected());
@@ -404,7 +432,17 @@ fn bench_explore_contention_frontiers_replay_from_the_library() {
     assert_eq!(u64_field(wl, "njobs"), contention.njobs() as u64);
     assert_eq!(u64_field(wl, "load_percent"), contention.load_percent());
     assert_eq!(str_field(wl, "policy"), contention.policy_name());
+    let background: Vec<&str> = contention
+        .background()
+        .iter()
+        .map(|p| p.name.as_str())
+        .collect();
+    assert_eq!(strings_in(section(wl, "background")), background);
     let space = ofdm::design_space();
+    let header = section(&json, "space");
+    assert_eq!(u64_field(header, "points"), space.len() as u64);
+    assert_eq!(u64_field(header, "cells"), space.cells() as u64);
+    assert_eq!(u64_field(header, "constraint"), space.constraint);
     let config = ExploreConfig {
         seed: 42,
         eval_budget: 64,
@@ -432,6 +470,18 @@ fn bench_explore_contention_frontiers_replay_from_the_library() {
     .with_objectives(objectives)
     .with_runtime(&contention);
     let contention_frontier = explore(&contention_eval, &space, &Exhaustive, &config).unwrap();
+    assert_eq!(
+        strings_in(section(&json, "objectives")),
+        contention_frontier.objectives
+    );
+    // The contention-frontier points the static frontier lacks.
+    let static_points: Vec<PointIdx> = static_frontier.frontier.iter().map(|p| p.point).collect();
+    let added: Vec<PointEval> = contention_frontier
+        .frontier
+        .iter()
+        .filter(|p| !static_points.contains(&p.point))
+        .cloned()
+        .collect();
     let effort = section(&json, "effort");
     assert_eq!(
         u64_field(effort, "engine_runs"),
@@ -444,6 +494,7 @@ fn bench_explore_contention_frontiers_replay_from_the_library() {
     for (key, frontier) in [
         ("static_frontier", &static_frontier.frontier),
         ("contention_frontier", &contention_frontier.frontier),
+        ("added_platform_points", &added),
     ] {
         let rows = objects_in(section(&json, key));
         assert_eq!(rows.len(), frontier.len(), "{key} size drifted");

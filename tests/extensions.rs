@@ -8,12 +8,9 @@ use amdrel_core::{partition_for_energy, pipeline_report, EnergyModel, Stage};
 
 fn ofdm_partitioned() -> amdrel_core::PartitionResult {
     let w = ofdm::workload(2004);
-    let (program, execution) = w.compile_and_profile().expect("runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = w.analyze().expect("runs");
     PartitioningEngine::new(&program.cdfg, &analysis, &Platform::paper(1500, 3))
         .run(paper::OFDM_CONSTRAINT)
         .expect("engine runs")
@@ -37,12 +34,9 @@ fn pipelining_the_partitioned_ofdm_increases_throughput() {
 #[test]
 fn energy_partitioning_of_ofdm_beats_all_fpga() {
     let w = ofdm::workload(2004);
-    let (program, execution) = w.compile_and_profile().expect("runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = w.analyze().expect("runs");
     let platform = Platform::paper(1500, 3);
     let model = EnergyModel::default();
     let floor = partition_for_energy(&program.cdfg, &analysis, &platform, &model, 0)
@@ -64,12 +58,9 @@ fn timing_and_energy_engines_can_disagree() {
     // weighs reconfiguration escape, timing weighs cycle counts. Verify
     // both produce valid (possibly different) assignments on OFDM.
     let w = ofdm::workload(2004);
-    let (program, execution) = w.compile_and_profile().expect("runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = w.analyze().expect("runs");
     let platform = Platform::paper(1500, 3);
     let timing = PartitioningEngine::new(&program.cdfg, &analysis, &platform)
         .run(paper::OFDM_CONSTRAINT)
@@ -92,12 +83,9 @@ fn timing_and_energy_engines_can_disagree() {
 #[test]
 fn sobel_flows_through_the_complete_methodology() {
     let w = sobel::workload(48, 11);
-    let (program, execution) = w.compile_and_profile().expect("runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
+    let Analyzed {
+        program, analysis, ..
+    } = w.analyze().expect("runs");
     // End-to-end with a constraint at half the all-FPGA time.
     let platform = Platform::paper(1500, 2);
     let initial = PartitioningEngine::new(&program.cdfg, &analysis, &platform)

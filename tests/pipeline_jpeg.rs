@@ -6,14 +6,10 @@ use amdrel::prelude::*;
 const DIM: usize = 64;
 
 fn prepared() -> (amdrel_minic::CompiledProgram, AnalysisReport) {
-    let w = jpeg::workload(DIM, 7);
-    let (program, execution) = w.compile_and_profile().expect("JPEG compiles and runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    (program, analysis)
+    let app = jpeg::workload(DIM, 7)
+        .analyze()
+        .expect("JPEG compiles and runs");
+    (app.program, app.analysis)
 }
 
 /// The paper's constraint scaled from 256×256 to our image area.
@@ -24,7 +20,7 @@ fn constraint() -> u64 {
 #[test]
 fn encoder_is_bit_exact_against_reference() {
     let w = jpeg::workload(DIM, 99);
-    let (_program, execution) = w.compile_and_profile().expect("runs");
+    let execution = w.analyze().expect("runs").execution;
     let expected = jpeg::encode(&w.inputs[0].1, DIM);
     assert_eq!(execution.return_value, Some(expected.bit_count));
     let bits = execution.global("bitstream").expect("bitstream global");

@@ -5,14 +5,10 @@ use amdrel::prelude::*;
 use amdrel_coarsegrain::CgcDatapath;
 
 fn prepared() -> (amdrel_minic::CompiledProgram, AnalysisReport) {
-    let w = ofdm::workload(2004);
-    let (program, execution) = w.compile_and_profile().expect("OFDM compiles and runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    (program, analysis)
+    let app = ofdm::workload(2004)
+        .analyze()
+        .expect("OFDM compiles and runs");
+    (app.program, app.analysis)
 }
 
 #[test]
@@ -136,16 +132,16 @@ fn three_cgcs_never_slower_than_two() {
 fn grid_and_engine_agree() {
     let (program, analysis) = prepared();
     let base = Platform::paper(1500, 2);
-    let grid = run_grid(
-        "ofdm",
-        &program.cdfg,
-        &analysis,
-        &base,
-        &[1500, 5000],
-        &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
-        paper::OFDM_CONSTRAINT,
-    )
-    .expect("grid runs");
+    let spec = GridSpec {
+        app: "ofdm",
+        cdfg: &program.cdfg,
+        analysis: &analysis,
+        base: &base,
+        areas: &[1500, 5000],
+        datapaths: &[CgcDatapath::two_2x2(), CgcDatapath::three_2x2()],
+        constraint: paper::OFDM_CONSTRAINT,
+    };
+    let grid = run_grid(&spec, &MappingCache::new(), 1).expect("grid runs");
     assert_eq!(grid.cells.len(), 4);
     let direct = PartitioningEngine::new(&program.cdfg, &analysis, &base)
         .run(paper::OFDM_CONSTRAINT)

@@ -21,14 +21,8 @@ const FIR: &str = r#"
 "#;
 
 fn analyzed() -> (amdrel::minic::CompiledProgram, AnalysisReport) {
-    let program = compile(FIR, "main").expect("compiles");
-    let execution = Interpreter::new(&program.ir).run(&[]).expect("runs");
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    (program, analysis)
+    let app = analyze(FIR, &[]).expect("compiles and runs");
+    (app.program, app.analysis)
 }
 
 #[test]
@@ -49,17 +43,8 @@ fn parallel_grid_matches_sequential_through_facade() {
         datapaths: &datapaths,
         constraint: initial / 2,
     };
-    let sequential = run_grid(
-        "fir",
-        &program.cdfg,
-        &analysis,
-        &base,
-        &[1200, 1500, 5000],
-        &datapaths,
-        initial / 2,
-    )
-    .expect("grid runs");
-    let parallel = run_grid_parallel(&spec).expect("grid runs");
+    let sequential = run_grid(&spec, &MappingCache::new(), 1).expect("grid runs");
+    let parallel = run_grid(&spec, &MappingCache::new(), 0).expect("grid runs");
     assert_eq!(sequential, parallel);
     // And the paper-table rendering agrees, cell for cell.
     assert_eq!(
@@ -108,8 +93,8 @@ fn grid_maps_each_area_and_datapath_once() {
         datapaths: &datapaths,
         constraint: 1, // tight: every cell maps both fabrics
     };
-    run_grid_cached(&spec, &cache).expect("grid runs");
-    run_grid_parallel_cached(&spec, &cache).expect("grid runs");
+    run_grid(&spec, &cache, 1).expect("grid runs");
+    run_grid(&spec, &cache, 0).expect("grid runs");
     let stats = cache.stats();
     assert_eq!(stats.fine_misses, areas.len() as u64);
     assert_eq!(stats.coarse_misses, datapaths.len() as u64);
@@ -118,26 +103,23 @@ fn grid_maps_each_area_and_datapath_once() {
 }
 
 #[test]
-fn run_flow_cached_reuses_mappings_across_constraints() {
+fn shared_cache_reuses_mappings_across_constraints() {
     let cache = MappingCache::new();
     let platform = Platform::paper(1500, 2);
-    let first = run_flow_cached(FIR, &[], &platform, 1, EngineConfig::default(), &cache)
-        .expect("flow runs");
-    let again = run_flow_cached(FIR, &[], &platform, 1, EngineConfig::default(), &cache)
-        .expect("flow runs");
-    assert_eq!(first.result, again.result);
+    // Every run re-analyses the source, so reuse rests on the CDFG
+    // fingerprint in the cache keys, not on sharing one compiled program.
+    let flow = |constraint| {
+        let (program, analysis) = analyzed();
+        PartitioningEngine::new(&program.cdfg, &analysis, &platform)
+            .with_mapping_cache(&cache)
+            .run(constraint)
+            .expect("engine runs")
+    };
+    let first = flow(1);
+    assert_eq!(first, flow(1));
     // Sweep constraints: still only one mapping per fabric.
     for divisor in [2u64, 4, 8] {
-        let constraint = first.result.initial_cycles / divisor;
-        run_flow_cached(
-            FIR,
-            &[],
-            &platform,
-            constraint,
-            EngineConfig::default(),
-            &cache,
-        )
-        .expect("flow runs");
+        flow(first.initial_cycles / divisor);
     }
     let stats = cache.stats();
     assert_eq!(stats.fine_misses, 1);
