@@ -13,7 +13,6 @@
 use crate::{jpeg, ofdm, paper, sobel, Workload};
 use amdrel_core::{MappingCache, PartitioningEngine, Platform};
 use amdrel_explore::RuntimeEvaluator;
-use amdrel_finegrain::CdfgFineGrainMapping;
 use amdrel_runtime::{AppProfile, ShortestJobFirst};
 
 /// Workload seed shared by the profile builders (the same seed the
@@ -50,7 +49,8 @@ pub fn profile_workload(
         None => (engine.run(u64::MAX)?.initial_cycles / 2).max(1),
     };
     let result = engine.run(constraint)?;
-    let mapping = CdfgFineGrainMapping::map(cdfg, &platform.fpga)?;
+    // The engine already mapped the fabric into `cache`.
+    let mapping = cache.fine(cdfg, &platform.fpga)?;
     Ok(AppProfile::from_partitioning(
         name, priority, &result, &mapping,
     ))

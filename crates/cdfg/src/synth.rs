@@ -37,11 +37,22 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    // Calling `ticket` keeps this from being a leaf, which rustc would
+    // inline across crates on its own; the job generator and the fault
+    // draws call it on every job.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
-        // Multiply-shift rejection-free mapping; bias is negligible for the
-        // small bounds used in test-data generation.
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
+        Self::ticket(self.next_u64(), bound)
+    }
+
+    /// The value in `0..bound` that [`below`](Self::below) maps the raw
+    /// draw `draw` to: a multiply-shift, rejection-free mapping whose
+    /// bias is negligible for the small bounds used in test-data
+    /// generation. Monotone in `draw`, so callers that need the raw
+    /// draw too (a lookup table over its top bits, say) stay exact.
+    pub fn ticket(draw: u64, bound: u64) -> u64 {
+        ((u128::from(draw) * u128::from(bound)) >> 64) as u64
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -42,6 +42,20 @@ mod tests {
     }
 
     #[test]
+    fn below_is_the_ticket_of_the_next_draw() {
+        let mut draws = SplitMix64::new(99);
+        let mut bounded = draws.clone();
+        for bound in [1, 2, 97, 1 << 40, u64::MAX] {
+            assert_eq!(
+                bounded.below(bound),
+                SplitMix64::ticket(draws.next_u64(), bound)
+            );
+        }
+        assert_eq!(SplitMix64::ticket(u64::MAX, 10), 9);
+        assert_eq!(SplitMix64::ticket(0, u64::MAX), 0);
+    }
+
+    #[test]
     fn forked_streams_are_reproducible() {
         let c1: Vec<u64> = {
             let mut parent = SplitMix64::new(7);

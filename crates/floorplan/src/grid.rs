@@ -11,23 +11,9 @@
 use amdrel_finegrain::{FpgaConfigKey, FpgaDevice};
 use std::fmt;
 
-/// Integer square root (largest `r` with `r² ≤ n`), by Newton iteration.
-fn isqrt(n: u64) -> u64 {
-    if n < 2 {
-        return n;
-    }
-    let mut x = n;
-    let mut y = x.div_ceil(2);
-    while y < x {
-        x = y;
-        y = (x + n / x) / 2;
-    }
-    x
-}
-
 /// Smallest `r` with `r² ≥ n`.
-fn ceil_sqrt(n: u64) -> u64 {
-    let r = isqrt(n);
+pub(crate) fn ceil_sqrt(n: u64) -> u64 {
+    let r = n.isqrt();
     if r * r < n {
         r + 1
     } else {
@@ -359,6 +345,30 @@ pub struct RegionConfigKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ceil_sqrt_is_the_smallest_root_covering_n() {
+        let check = |n: u64| {
+            let r = u128::from(ceil_sqrt(n));
+            let wide = u128::from(n);
+            assert!(
+                r * r >= wide && (r == 0 || (r - 1) * (r - 1) < wide),
+                "ceil_sqrt({n}) = {r}"
+            );
+        };
+        (0..=1_000_000).for_each(check);
+        let ks = (1..=10_000u64)
+            .map(|i| i * 429_467)
+            .chain((16..32).flat_map(|j| [(1u64 << j) - 1, 1 << j, (1 << j) + 1]))
+            .chain([u64::from(u32::MAX)]);
+        for k in ks {
+            check(k * k - 1);
+            check(k * k);
+            check(k * k + 1);
+        }
+        check(u64::MAX);
+        assert_eq!(ceil_sqrt(u64::MAX), 1 << 32);
+    }
 
     #[test]
     fn quantisation_covers_the_usable_area() {

@@ -15,7 +15,7 @@
 //! residency set. The planner consumes no randomness: identical inputs
 //! give identical [`Placement`]s on every run and host.
 
-use crate::grid::FabricGrid;
+use crate::grid::{ceil_sqrt, FabricGrid};
 use amdrel_finegrain::TemporalPartitioning;
 use std::collections::BTreeMap;
 
@@ -472,23 +472,6 @@ fn raise(skyline: &mut Vec<Seg>, x: u64, w: u64, top: u64) {
         merged.push(seg);
     }
     *skyline = merged;
-}
-
-fn ceil_sqrt(n: u64) -> u64 {
-    if n < 2 {
-        return n;
-    }
-    let mut x = n;
-    let mut y = x.div_ceil(2);
-    while y < x {
-        x = y;
-        y = (x + n / x) / 2;
-    }
-    if x * x < n {
-        x + 1
-    } else {
-        x
-    }
 }
 
 #[cfg(test)]

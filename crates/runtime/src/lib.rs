@@ -21,9 +21,10 @@
 //! * [`SchedulePolicy`] — pluggable dispatch: [`Fcfs`],
 //!   [`ShortestJobFirst`], [`PriorityFirst`], [`ConfigAffinity`];
 //! * [`Simulation`] — the builder facade over the deterministic
-//!   discrete-event simulator (binary-heap event core, events totally
-//!   ordered by `(time, sequence)`), with a configuration cache,
-//!   optional bitstream prefetch, an admission bound ([`SimConfig`])
+//!   discrete-event simulator (one event slot per resource plus a
+//!   deadline FIFO, events totally ordered by `(time, sequence)`),
+//!   with a configuration cache, optional bitstream prefetch, an
+//!   admission bound ([`SimConfig`])
 //!   and streaming latency aggregation ([`SketchMode`]);
 //!   [`Simulation::shards`] partitions the tenants across `k`
 //!   independent platform replicas ([`shard_of`]: application `i` →

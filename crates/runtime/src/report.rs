@@ -385,9 +385,9 @@ impl RuntimeReport {
 /// (schema `amdrel-simulate/v5`).
 ///
 /// v5 drops `day_width` from the `queue` object and the
-/// `queue.day_width` metric: the event core is a binary heap, which has
-/// no day width (`rehashes` stays, always 0). Every other v4 key is
-/// retained unchanged. Earlier history: v4 added the `queue` object
+/// `queue.day_width` metric: the calendar queue that had one is gone
+/// (`rehashes` stays, always 0 — the event lanes never rehash). Every
+/// other v4 key is retained unchanged. Earlier history: v4 added the `queue` object
 /// (events scheduled, rehashes, peak occupancy) and the `metrics`
 /// object (the [`RuntimeReport::metrics`] registry, flat dotted-path
 /// counters); v3 added `faults`, `recovery` and `reliability`; v2 added

@@ -29,22 +29,30 @@
 //!
 //! # Engine
 //!
-//! The event core is an [`EventQueue`] — a binary min-heap on
-//! `(time, seq)` — that holds **no arrivals**. Arrivals are merged
-//! lazily from the (time-sorted) job stream, with arrivals winning time
-//! ties — exactly the order the historical all-events heap produced,
-//! where every arrival was pushed before any completion and therefore
-//! carried a smaller sequence number. That heap is retained behind
-//! `#[cfg(test)]` as a differential oracle.
+//! The event core is [`EventLanes`], ordered by `(time, seq)`, and it
+//! holds **no arrivals**. Arrivals are merged lazily from the
+//! (time-sorted) job stream, with arrivals winning time ties — exactly
+//! the order the historical all-events heap produced, where every
+//! arrival was pushed before any completion and therefore carried a
+//! smaller sequence number. That heap is retained behind `#[cfg(test)]`
+//! as a differential oracle.
 //!
 //! Each resource has at most one pending event: the fabric's phase end,
-//! fault or retry, and each CGC slot's completion, outage or repair.
-//! The job an event concerns therefore stays on its resource (the
-//! fabric holds an `Option<Job>`, each slot an `Option<CgcTask>`) and
-//! the event carries only its kind plus an attempt number or slot id —
-//! 32 bytes with its key. Besides those, the queue holds one deadline
-//! per queued job when deadlines are on; without them it is O(1) in the
-//! job count (`1 + cgc_slots` events at most).
+//! fault or retry, and each CGC slot's completion, outage or repair. So
+//! each resource gets one event slot (the fabric is lane 0, CGC slot
+//! `s` lane `1 + s`), and the job an event concerns stays on its
+//! resource (the fabric holds an `Option<Job>`, each slot an
+//! `Option<CgcTask>`): the event carries only its kind plus an attempt
+//! number or slot id. Deadlines, one per admitted job when they are on,
+//! wait in a FIFO lane, because reap times (`arrival + deadline`) are
+//! scheduled in key order. The next event is the smallest lane head,
+//! which is exactly the heap's order. Without deadlines the lanes hold
+//! `1 + cgc_slots` events at most.
+//!
+//! The per-job path does only the work a run needs: each profile's
+//! scalar reconfiguration charge is priced once per run, a coarse task
+//! that finds the CGC queue empty and a slot free starts on that slot
+//! directly, and trace events are built only when a sink is attached.
 //!
 //! # Entry point
 //!
@@ -55,7 +63,7 @@
 use crate::fault::{permille_of, FaultSpec, RecoveryPolicy};
 use crate::policy::{Fcfs, SchedulePolicy};
 use crate::profile::{AppProfile, ConfigId};
-use crate::queue::{EventQueue, QueueStats};
+use crate::queue::{EventLanes, Lane, QueueStats};
 use crate::region::RegionPlan;
 use crate::report::{AppStats, ReliabilityStats, RuntimeReport};
 use crate::sketch::{LatencySketch, LatencySource, SketchMode};
@@ -137,6 +145,23 @@ enum Completion {
     SlotRepair { slot: u32 },
     /// `job_id`'s deadline: reap it if it still waits for the fabric.
     Deadline { job_id: u64 },
+}
+
+impl Completion {
+    /// The lane the event waits in: the fabric is resource 0 and CGC
+    /// slot `s` resource `1 + s`; deadlines share the FIFO lane.
+    fn lane(self) -> Lane {
+        match self {
+            Completion::Fpga { .. }
+            | Completion::LoadFault { .. }
+            | Completion::FabricFault { .. }
+            | Completion::FabricRetry { .. } => Lane::Resource(0),
+            Completion::Cgc { slot }
+            | Completion::SlotFault { slot }
+            | Completion::SlotRepair { slot } => Lane::Resource(1 + slot as usize),
+            Completion::Deadline { .. } => Lane::Deadline,
+        }
+    }
 }
 
 /// Streaming run accounting: counters plus one [`LatencySketch`] per
@@ -320,8 +345,11 @@ pub(crate) struct Engine<'a> {
     faults: FaultSpec,
     recovery: RecoveryPolicy,
 
-    events: EventQueue<Completion>,
+    events: EventLanes<Completion>,
     next_seq: u64,
+    /// Each profile's scalar reconfiguration charge, `(bitstream loads,
+    /// fabric stall cycles)`, priced once per run.
+    charges: Vec<(u64, u64)>,
 
     fpga_queue: Vec<Job>,
     /// The job holding the fabric (through its whole retry chain).
@@ -351,6 +379,20 @@ impl<'a> Engine<'a> {
     pub(crate) fn new(sim: &Simulation<'a>, source: LatencySource) -> Self {
         let cgc_slots = sim.platform.datapath.cgcs.len();
         let region_plan = sim.regions.filter(|plan| plan.is_partial());
+        let model = &sim.platform.reconfig;
+        let charges = sim
+            .profiles
+            .iter()
+            .map(|p| {
+                let areas = &p.config.partition_areas;
+                let stall = if sim.config.prefetch {
+                    areas.first().map_or(0, |&a| model.load_cycles(a))
+                } else {
+                    areas.iter().map(|&a| model.load_cycles(a)).sum()
+                };
+                (areas.len() as u64, stall)
+            })
+            .collect();
         Engine {
             profiles: sim.profiles,
             platform: sim.platform,
@@ -358,8 +400,9 @@ impl<'a> Engine<'a> {
             config: sim.config,
             faults: sim.faults,
             recovery: sim.recovery,
-            events: EventQueue::new(),
+            events: EventLanes::new(1 + cgc_slots),
             next_seq: 0,
+            charges,
             fpga_queue: Vec::new(),
             fabric: None,
             loaded: None,
@@ -374,16 +417,17 @@ impl<'a> Engine<'a> {
     }
 
     fn schedule(&mut self, time: u64, completion: Completion) {
-        self.events.push(time, self.next_seq, completion);
+        self.events
+            .push(completion.lane(), time, self.next_seq, completion);
         self.next_seq += 1;
     }
 
-    /// Emit a trace event when a sink is attached. Everything observable
-    /// flows through here, so a run with no sink does exactly the work
-    /// it did before tracing existed.
-    fn emit(&self, event: TraceEvent) {
+    /// Record the trace event `event` builds when a sink is attached.
+    /// Everything observable flows through here, and with no sink the
+    /// closure never runs: an untraced run builds no trace events.
+    fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(trace) = self.trace {
-            trace.record(event);
+            trace.record(event());
         }
     }
 
@@ -400,17 +444,10 @@ impl<'a> Engine<'a> {
         if let Some(plan) = self.region_plan {
             return self.region_charge(plan, job);
         }
-        let areas = &self.profiles[job.app].config.partition_areas;
-        if areas.is_empty() || (self.config.config_cache && self.loaded == Some(job.config)) {
+        if self.config.config_cache && self.loaded == Some(job.config) {
             return (0, 0);
         }
-        let model = &self.platform.reconfig;
-        let stall = if self.config.prefetch {
-            model.load_cycles(areas[0])
-        } else {
-            areas.iter().map(|&a| model.load_cycles(a)).sum()
-        };
-        (areas.len() as u64, stall)
+        self.charges[job.app]
     }
 
     /// Region-granular charge: only the *stale* regions of the job's
@@ -469,11 +506,11 @@ impl<'a> Engine<'a> {
             // The load span covers the fabric-blocking stall (with
             // prefetch that is only the first partition); `arg` carries
             // the bitstream count.
-            self.emit(
+            self.emit(|| {
                 TraceEvent::span(TrackId::Fabric, now, stall, "load")
                     .with_job(job.id)
-                    .with_arg(loads),
-            );
+                    .with_arg(loads)
+            });
             // Region reprogram instants, emitted against the pre-load
             // residency so they mark exactly the stale regions the
             // charge priced (same predicate as `region_charge`).
@@ -483,10 +520,10 @@ impl<'a> Engine<'a> {
                         if self.config.config_cache && self.region_owner[r] == Some(job.config) {
                             continue;
                         }
-                        self.emit(
+                        self.emit(|| {
                             TraceEvent::instant(TrackId::Region(r as u32), now, "reprogram")
-                                .with_job(job.id),
-                        );
+                                .with_job(job.id)
+                        });
                     }
                 }
             }
@@ -503,17 +540,17 @@ impl<'a> Engine<'a> {
             if let Some(plan) = self.region_plan {
                 for &r in plan.touched(job.app) {
                     self.region_owner[r] = None;
-                    self.emit(
+                    self.emit(|| {
                         TraceEvent::instant(TrackId::Region(r as u32), now + stall, "scrub")
-                            .with_job(job.id),
-                    );
+                            .with_job(job.id)
+                    });
                 }
             }
-            self.emit(
+            self.emit(|| {
                 TraceEvent::instant(TrackId::Fabric, now + stall, "fault_load")
                     .with_job(job.id)
-                    .with_arg(attempt as u64),
-            );
+                    .with_arg(attempt as u64)
+            });
             self.schedule(now + stall, Completion::LoadFault { attempt });
             return;
         }
@@ -533,25 +570,25 @@ impl<'a> Engine<'a> {
             let wasted = permille_of(job.fine_cycles, frac);
             self.ledger.fabric_kills += 1;
             self.ledger.fault_lost_cycles += wasted;
-            self.emit(
+            self.emit(|| {
                 TraceEvent::span(TrackId::Fabric, now + stall, wasted, "fine")
                     .with_job(job.id)
-                    .with_arg(attempt as u64),
-            );
-            self.emit(
+                    .with_arg(attempt as u64)
+            });
+            self.emit(|| {
                 TraceEvent::instant(TrackId::Fabric, now + stall + wasted, "fault_fabric")
                     .with_job(job.id)
-                    .with_arg(attempt as u64),
-            );
+                    .with_arg(attempt as u64)
+            });
             self.schedule(now + stall + wasted, Completion::FabricFault { attempt });
             return;
         }
         self.ledger.fpga_busy_cycles += job.fine_cycles;
-        self.emit(
+        self.emit(|| {
             TraceEvent::span(TrackId::Fabric, now + stall, job.fine_cycles, "fine")
                 .with_job(job.id)
-                .with_arg(attempt as u64),
-        );
+                .with_arg(attempt as u64)
+        });
         self.schedule(now + stall + job.fine_cycles, Completion::Fpga { attempt });
     }
 
@@ -564,16 +601,16 @@ impl<'a> Engine<'a> {
         if attempt < self.recovery.max_retries {
             self.ledger.retries += 1;
             let delay = self.recovery.backoff.delay(attempt);
-            self.emit(
+            self.emit(|| {
                 TraceEvent::instant(TrackId::Scheduler, now, "retry")
                     .with_job(job.id)
-                    .with_arg((attempt + 1) as u64),
-            );
-            self.emit(
+                    .with_arg((attempt + 1) as u64)
+            });
+            self.emit(|| {
                 TraceEvent::span(TrackId::Fabric, now, delay, "backoff")
                     .with_job(job.id)
-                    .with_arg(attempt as u64),
-            );
+                    .with_arg(attempt as u64)
+            });
             self.schedule(
                 now + delay,
                 Completion::FabricRetry {
@@ -584,92 +621,117 @@ impl<'a> Engine<'a> {
         }
         self.fabric = None;
         if self.recovery.degrade && !self.platform.datapath.cgcs.is_empty() {
-            self.emit(TraceEvent::instant(TrackId::Scheduler, now, "degrade").with_job(job.id));
-            self.cgc_queue.push_back(CgcTask {
+            self.emit(|| TraceEvent::instant(TrackId::Scheduler, now, "degrade").with_job(job.id));
+            let task = CgcTask {
                 job,
                 cycles: self.profiles[job.app].fallback_cycles(),
                 attempt: 0,
                 degraded: true,
                 faulted: true,
-            });
-            self.dispatch_cgc(now);
+            };
+            self.submit_cgc(task, now);
         } else {
             self.ledger.aborted += 1;
-            self.emit(TraceEvent::instant(TrackId::Scheduler, now, "abort").with_job(job.id));
-            self.emit(TraceEvent::job_end(now, job.id));
+            self.emit(|| TraceEvent::instant(TrackId::Scheduler, now, "abort").with_job(job.id));
+            self.emit(|| TraceEvent::job_end(now, job.id));
         }
         self.dispatch_fpga(now);
     }
 
+    /// Hand a coarse task to the CGC stage: straight onto the smallest
+    /// free slot when nothing waits ahead of it (the slot
+    /// [`Engine::dispatch_cgc`] would pick), else to the back of the
+    /// queue.
+    fn submit_cgc(&mut self, task: CgcTask, now: u64) {
+        if self.cgc_queue.is_empty() {
+            if let Some(slot) = self.free_slots.pop() {
+                self.start_cgc(slot, task, now);
+                return;
+            }
+        }
+        debug_assert!(
+            self.free_slots.is_empty(),
+            "a task waits only while every slot is busy"
+        );
+        self.cgc_queue.push_back(task);
+    }
+
+    /// Start queued tasks on free slots, smallest free id first.
     fn dispatch_cgc(&mut self, now: u64) {
         while let Some(&slot) = self.free_slots.last() {
             let Some(task) = self.cgc_queue.pop_front() else {
                 return;
             };
             self.free_slots.pop();
-            if !task.degraded {
-                if let Some(frac) = self.faults.slot_outage(task.job.id, task.attempt) {
-                    // Outage: the drawn fraction of the coarse phase runs
-                    // before the slot dies; the slot stays down until its
-                    // repair event returns it to the pool.
-                    let wasted = permille_of(task.cycles, frac);
-                    self.ledger.slot_outages += 1;
-                    self.ledger.fault_lost_cycles += wasted;
-                    self.emit(
-                        TraceEvent::span(TrackId::CgcSlot(slot), now, wasted, "coarse")
-                            .with_job(task.job.id)
-                            .with_arg(task.attempt as u64),
-                    );
-                    self.emit(
-                        TraceEvent::instant(
-                            TrackId::CgcSlot(slot),
-                            now.saturating_add(wasted),
-                            "fault_slot",
-                        )
-                        .with_job(task.job.id),
-                    );
-                    // Saturating: dispatches after a near-`u64::MAX`
-                    // slot repair pin to the end of the clock instead
-                    // of overflowing it.
-                    self.slots[slot as usize] = Some(task);
-                    self.schedule(now.saturating_add(wasted), Completion::SlotFault { slot });
-                    continue;
-                }
-            }
-            self.ledger.cgc_busy_cycles += task.cycles;
-            self.emit(
-                TraceEvent::span(
-                    TrackId::CgcSlot(slot),
-                    now,
-                    task.cycles,
-                    if task.degraded { "fallback" } else { "coarse" },
-                )
-                .with_job(task.job.id)
-                .with_arg(task.attempt as u64),
-            );
-            self.slots[slot as usize] = Some(task);
-            self.schedule(now.saturating_add(task.cycles), Completion::Cgc { slot });
+            self.start_cgc(slot, task, now);
         }
+    }
+
+    /// Run `task` on the (already claimed) free `slot`: schedule its
+    /// completion, or the outage the fault spec draws for it.
+    fn start_cgc(&mut self, slot: u32, task: CgcTask, now: u64) {
+        if !task.degraded {
+            if let Some(frac) = self.faults.slot_outage(task.job.id, task.attempt) {
+                // Outage: the drawn fraction of the coarse phase runs
+                // before the slot dies; the slot stays down until its
+                // repair event returns it to the pool.
+                let wasted = permille_of(task.cycles, frac);
+                self.ledger.slot_outages += 1;
+                self.ledger.fault_lost_cycles += wasted;
+                self.emit(|| {
+                    TraceEvent::span(TrackId::CgcSlot(slot), now, wasted, "coarse")
+                        .with_job(task.job.id)
+                        .with_arg(task.attempt as u64)
+                });
+                self.emit(|| {
+                    TraceEvent::instant(
+                        TrackId::CgcSlot(slot),
+                        now.saturating_add(wasted),
+                        "fault_slot",
+                    )
+                    .with_job(task.job.id)
+                });
+                // Saturating: dispatches after a near-`u64::MAX`
+                // slot repair pin to the end of the clock instead
+                // of overflowing it.
+                self.slots[slot as usize] = Some(task);
+                self.schedule(now.saturating_add(wasted), Completion::SlotFault { slot });
+                return;
+            }
+        }
+        self.ledger.cgc_busy_cycles += task.cycles;
+        self.emit(|| {
+            TraceEvent::span(
+                TrackId::CgcSlot(slot),
+                now,
+                task.cycles,
+                if task.degraded { "fallback" } else { "coarse" },
+            )
+            .with_job(task.job.id)
+            .with_arg(task.attempt as u64)
+        });
+        self.slots[slot as usize] = Some(task);
+        self.schedule(now.saturating_add(task.cycles), Completion::Cgc { slot });
     }
 
     fn arrive(&mut self, job: Job) {
         self.ledger.arrived[job.app] += 1;
-        self.emit(
+        self.emit(|| {
             TraceEvent::instant(TrackId::Scheduler, job.arrival, "arrive")
                 .with_job(job.id)
-                .with_arg(job.app as u64),
-        );
+                .with_arg(job.app as u64)
+        });
         if self
             .config
             .queue_bound
             .is_some_and(|bound| self.fpga_queue.len() >= bound.get())
         {
             self.ledger.rejected[job.app] += 1;
-            self.emit(
-                TraceEvent::instant(TrackId::Scheduler, job.arrival, "reject").with_job(job.id),
-            );
+            self.emit(|| {
+                TraceEvent::instant(TrackId::Scheduler, job.arrival, "reject").with_job(job.id)
+            });
         } else {
-            self.emit(TraceEvent::job_begin(job.arrival, job.id));
+            self.emit(|| TraceEvent::job_begin(job.arrival, job.id));
             if let Some(reap) = self.faults.job_deadline(job.arrival) {
                 self.schedule(reap, Completion::Deadline { job_id: job.id });
             }
@@ -731,21 +793,21 @@ impl<'a> Engine<'a> {
                         self.fabric = None;
                         let faulted = attempt > 0;
                         if job.coarse_cycles > 0 {
-                            self.cgc_queue.push_back(CgcTask {
+                            let task = CgcTask {
                                 job,
                                 cycles: job.coarse_cycles,
                                 attempt: 0,
                                 degraded: false,
                                 faulted,
-                            });
-                            self.dispatch_cgc(now);
+                            };
+                            self.submit_cgc(task, now);
                         } else {
                             self.ledger.complete(&job, now, faulted);
-                            self.emit(
+                            self.emit(|| {
                                 TraceEvent::instant(TrackId::Scheduler, now, "complete")
-                                    .with_job(job.id),
-                            );
-                            self.emit(TraceEvent::job_end(now, job.id));
+                                    .with_job(job.id)
+                            });
+                            self.emit(|| TraceEvent::job_end(now, job.id));
                         }
                         self.dispatch_fpga(now);
                     }
@@ -757,11 +819,11 @@ impl<'a> Engine<'a> {
                         }
                         self.ledger
                             .complete(&task.job, now, task.faulted || task.attempt > 0);
-                        self.emit(
+                        self.emit(|| {
                             TraceEvent::instant(TrackId::Scheduler, now, "complete")
-                                .with_job(task.job.id),
-                        );
-                        self.emit(TraceEvent::job_end(now, task.job.id));
+                                .with_job(task.job.id)
+                        });
+                        self.emit(|| TraceEvent::job_end(now, task.job.id));
                         self.dispatch_cgc(now);
                     }
                     Completion::LoadFault { attempt } | Completion::FabricFault { attempt } => {
@@ -781,54 +843,56 @@ impl<'a> Engine<'a> {
                             .ledger
                             .slot_downtime_cycles
                             .saturating_add(self.faults.repair_cycles);
-                        self.emit(TraceEvent::span(
-                            TrackId::CgcSlot(slot),
-                            now,
-                            self.faults.repair_cycles,
-                            "down",
-                        ));
+                        self.emit(|| {
+                            TraceEvent::span(
+                                TrackId::CgcSlot(slot),
+                                now,
+                                self.faults.repair_cycles,
+                                "down",
+                            )
+                        });
                         self.schedule(
                             now.saturating_add(self.faults.repair_cycles),
                             Completion::SlotRepair { slot },
                         );
                         if task.attempt < self.recovery.max_retries {
                             self.ledger.retries += 1;
-                            self.emit(
+                            self.emit(|| {
                                 TraceEvent::instant(TrackId::Scheduler, now, "retry")
                                     .with_job(task.job.id)
-                                    .with_arg((task.attempt + 1) as u64),
-                            );
-                            self.cgc_queue.push_back(CgcTask {
+                                    .with_arg((task.attempt + 1) as u64)
+                            });
+                            let retry = CgcTask {
                                 attempt: task.attempt + 1,
                                 faulted: true,
                                 ..task
-                            });
-                            self.dispatch_cgc(now);
+                            };
+                            self.submit_cgc(retry, now);
                         } else if self.recovery.degrade {
                             // Same pricing, but on the fault-immune
                             // fallback path: the reliable slow lane.
-                            self.emit(
+                            self.emit(|| {
                                 TraceEvent::instant(TrackId::Scheduler, now, "degrade")
-                                    .with_job(task.job.id),
-                            );
-                            self.cgc_queue.push_back(CgcTask {
+                                    .with_job(task.job.id)
+                            });
+                            let fallback = CgcTask {
                                 degraded: true,
                                 faulted: true,
                                 ..task
-                            });
-                            self.dispatch_cgc(now);
+                            };
+                            self.submit_cgc(fallback, now);
                         } else {
                             self.ledger.aborted += 1;
-                            self.emit(
+                            self.emit(|| {
                                 TraceEvent::instant(TrackId::Scheduler, now, "abort")
-                                    .with_job(task.job.id),
-                            );
-                            self.emit(TraceEvent::job_end(now, task.job.id));
+                                    .with_job(task.job.id)
+                            });
+                            self.emit(|| TraceEvent::job_end(now, task.job.id));
                         }
                     }
                     Completion::SlotRepair { slot } => {
                         self.release_slot(slot);
-                        self.emit(TraceEvent::instant(TrackId::CgcSlot(slot), now, "repair"));
+                        self.emit(|| TraceEvent::instant(TrackId::CgcSlot(slot), now, "repair"));
                         self.dispatch_cgc(now);
                     }
                     Completion::Deadline { job_id } => {
@@ -837,11 +901,11 @@ impl<'a> Engine<'a> {
                         if let Some(pos) = self.fpga_queue.iter().position(|j| j.id == job_id) {
                             self.fpga_queue.swap_remove(pos);
                             self.ledger.deadline_misses += 1;
-                            self.emit(
+                            self.emit(|| {
                                 TraceEvent::instant(TrackId::Scheduler, now, "deadline")
-                                    .with_job(job_id),
-                            );
-                            self.emit(TraceEvent::job_end(now, job_id));
+                                    .with_job(job_id)
+                            });
+                            self.emit(|| TraceEvent::job_end(now, job_id));
                         }
                     }
                 }

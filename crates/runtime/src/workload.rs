@@ -149,21 +149,16 @@ impl WorkloadSpec {
     /// out of range.
     pub fn generate_streaming<'a>(&'a self, profiles: &'a [AppProfile]) -> JobStream<'a> {
         assert!(!self.mix.is_empty(), "workload mix must not be empty");
-        let cumulative: Vec<u64> = self
-            .mix
-            .iter()
-            .scan(0u64, |total, s| {
-                assert!(s.weight > 0, "mix weights must be nonzero");
-                assert!(
-                    s.app < profiles.len(),
-                    "mix references app {} but only {} profiles given",
-                    s.app,
-                    profiles.len()
-                );
-                *total += u64::from(s.weight);
-                Some(*total)
-            })
-            .collect();
+        for s in &self.mix {
+            assert!(s.weight > 0, "mix weights must be nonzero");
+            assert!(
+                s.app < profiles.len(),
+                "mix references app {} but only {} profiles given",
+                s.app,
+                profiles.len()
+            );
+        }
+        let shares = ShareTable::new(self.mix.iter().map(|s| u64::from(s.weight)));
 
         let mut master = SplitMix64::new(self.seed);
         let arrivals = master.fork();
@@ -173,7 +168,7 @@ impl WorkloadSpec {
         JobStream {
             profiles,
             mix: &self.mix,
-            cumulative,
+            shares,
             arrivals,
             picks,
             jitter,
@@ -194,8 +189,7 @@ impl WorkloadSpec {
 pub struct JobStream<'a> {
     profiles: &'a [AppProfile],
     mix: &'a [AppShare],
-    /// Inclusive prefix sums of the mix weights; the last is the total.
-    cumulative: Vec<u64>,
+    shares: ShareTable,
     arrivals: SplitMix64,
     picks: SplitMix64,
     jitter: SplitMix64,
@@ -216,9 +210,7 @@ impl Iterator for JobStream<'_> {
         let id = self.next_id;
         self.next_id += 1;
         self.now += 1 + self.arrivals.below(2 * self.mean);
-        let total_weight = self.cumulative[self.cumulative.len() - 1];
-        let ticket = self.picks.below(total_weight);
-        let chosen = self.mix[pick_share(&self.cumulative, ticket)].app;
+        let chosen = self.mix[self.shares.pick(self.picks.next_u64())].app;
         let profile = &self.profiles[chosen];
         let fine_scale = JITTER_MIN_PERMILLE + self.jitter.below(JITTER_SPAN);
         let coarse_scale = JITTER_MIN_PERMILLE + self.jitter.below(JITTER_SPAN);
@@ -246,6 +238,60 @@ impl ExactSizeIterator for JobStream<'_> {}
 /// search over `cumulative`.
 fn pick_share(cumulative: &[u64], ticket: u64) -> usize {
     cumulative.partition_point(|&c| c <= ticket)
+}
+
+/// Guide-table entries per share (rounded up to a power of two).
+const GUIDE_PER_SHARE: usize = 4;
+
+/// The share lookup of a mix: the inclusive prefix sums of its weights
+/// plus a guide table over the top bits of the raw pick draw, built once
+/// per stream so each pick costs O(1) expected steps instead of a
+/// binary search.
+#[derive(Debug, Clone)]
+struct ShareTable {
+    /// Inclusive prefix sums of the weights; the last is the total.
+    cumulative: Vec<u64>,
+    /// `guide[b]`: the first share any draw whose top bits read `b` can
+    /// land on — the share of the bucket's smallest draw.
+    guide: Vec<usize>,
+    /// `64 - log2(guide.len())`: a draw's bucket is `draw >> shift`.
+    shift: u32,
+}
+
+impl ShareTable {
+    /// The table for nonzero `weights` (at least one).
+    fn new(weights: impl Iterator<Item = u64>) -> Self {
+        let cumulative: Vec<u64> = weights
+            .scan(0u64, |total, w| {
+                *total += w;
+                Some(*total)
+            })
+            .collect();
+        let total = cumulative[cumulative.len() - 1];
+        let buckets = (GUIDE_PER_SHARE * cumulative.len()).next_power_of_two();
+        let shift = 64 - buckets.trailing_zeros();
+        let guide = (0..buckets as u64)
+            .map(|b| pick_share(&cumulative, SplitMix64::ticket(b << shift, total)))
+            .collect();
+        ShareTable {
+            cumulative,
+            guide,
+            shift,
+        }
+    }
+
+    /// The share the raw draw `draw` picks: exactly
+    /// [`pick_share`] of its [`SplitMix64::below`] ticket. Tickets grow
+    /// with the draw, so the share of a draw is never before its
+    /// bucket's guide entry, and a forward walk from there ends on it.
+    fn pick(&self, draw: u64) -> usize {
+        let ticket = SplitMix64::ticket(draw, self.cumulative[self.cumulative.len() - 1]);
+        let mut share = self.guide[(draw >> self.shift) as usize];
+        while self.cumulative[share] <= ticket {
+            share += 1;
+        }
+        share
+    }
 }
 
 /// `value × permille / 1000`, keeping nonzero values nonzero so a jittered
@@ -378,6 +424,47 @@ mod tests {
                     linear_pick(&weights, ticket),
                     "ticket {} over weights {:?}", ticket, weights
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The guide-table lookup picks exactly the share the binary
+        /// search finds for the draw's `below` ticket, for 1 to 64
+        /// shares under three weight shapes: arbitrary weights up to
+        /// `u32::MAX`, small weights, and one dominant `u32::MAX` weight
+        /// among small ones. Draws are random, plus every bucket's first
+        /// and last draw.
+        #[test]
+        fn guide_table_matches_the_binary_search(seed in any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            for shares in 1..=64usize {
+                let dominant = rng.below(shares as u64) as usize;
+                for shape in 0..3 {
+                    let weights: Vec<u64> = (0..shares)
+                        .map(|i| match shape {
+                            0 => 1 + rng.below(u64::from(u32::MAX)),
+                            1 => 1 + rng.below(8),
+                            _ if i == dominant => u64::from(u32::MAX),
+                            _ => 1 + rng.below(8),
+                        })
+                        .collect();
+                    let table = ShareTable::new(weights.iter().copied());
+                    let total = table.cumulative[shares - 1];
+                    let width = 1u64 << table.shift;
+                    let edges = (0..table.guide.len() as u64)
+                        .flat_map(|b| [b * width, b * width + (width - 1)]);
+                    let random: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
+                    for draw in edges.chain(random) {
+                        prop_assert_eq!(
+                            table.pick(draw),
+                            pick_share(&table.cumulative, SplitMix64::ticket(draw, total)),
+                            "draw {:#x} over weights {:?}", draw, weights
+                        );
+                    }
+                }
             }
         }
     }

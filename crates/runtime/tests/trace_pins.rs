@@ -4,10 +4,11 @@
 //! only. These scenarios cover the rest of the event core — load
 //! faults, fabric kills, retries, slot outages and repairs, deadline
 //! reaps, degradation, aborts, region reprogramming and scrubbing,
-//! admission rejects — and pin each run twice with FNV-1a digests: the
+//! admission rejects — and pin each run with two FNV-1a digests (the
 //! rendered Chrome trace, and every deterministic report field except
-//! the event-structure statistics (`queue`). Any change to what the
-//! engine does, or to the order it does it in, moves a digest.
+//! the event-structure statistics) plus those statistics themselves:
+//! events scheduled and peak queue occupancy. Any change to what the
+//! engine does, or to the order it does it in, moves a pin.
 
 use amdrel_core::Platform;
 use amdrel_floorplan::FabricGrid;
@@ -57,11 +58,13 @@ fn report_fields(r: &RuntimeReport) -> String {
     )
 }
 
-/// One pinned scenario: its name, the run, and the two digests.
+/// One pinned scenario: its name, the run, the two digests and the
+/// event-queue statistics `(events, peak_occupancy)`.
 struct Scenario {
     name: &'static str,
     trace: u64,
     report: u64,
+    queue: (u64, u64),
 }
 
 /// The expected digests, in scenario order.
@@ -70,31 +73,37 @@ const PINS: [Scenario; 6] = [
         name: "faults_deadline_degrade",
         trace: 0xca26_7056_2035_415b,
         report: 0xaa8d_0562_65d3_731c,
+        queue: (1148, 31),
     },
     Scenario {
         name: "no_retries_abort",
         trace: 0x4d20_ddff_c8ea_a56f,
         report: 0xd40d_c77b_7d49_f2a6,
+        queue: (577, 3),
     },
     Scenario {
         name: "regions_load_faults",
         trace: 0x3534_ca04_b1cf_611e,
         report: 0xb90d_92b5_845d_491b,
+        queue: (644, 3),
     },
     Scenario {
         name: "prefetch_bounded",
         trace: 0x3c5f_66b9_b8f2_1f23,
         report: 0xcb8c_96a5_1185_03ff,
+        queue: (372, 3),
     },
     Scenario {
         name: "affinity_overload_deadlines",
         trace: 0xdd14_d361_ced1_20db,
         report: 0x18b2_f307_ede3_c442,
+        queue: (422, 17),
     },
     Scenario {
         name: "single_cgc_outages",
         trace: 0x7568_84e2_39f7_eb68,
         report: 0x1ef2_441c_2e16_4760,
+        queue: (808, 2),
     },
 ];
 
@@ -217,9 +226,10 @@ fn faulted_event_streams_match_their_pins() {
         fired.extend(events.iter().map(|e| e.name));
         let trace = fnv1a(&chrome_trace(&events));
         let fields = fnv1a(&report_fields(&report));
-        if (trace, fields) != (pin.trace, pin.report) {
+        let queue = (report.queue.events, report.queue.peak_occupancy);
+        if (trace, fields, queue) != (pin.trace, pin.report, pin.queue) {
             drift.push(format!(
-                "{}: trace {trace:#018x}, report {fields:#018x}",
+                "{}: trace {trace:#018x}, report {fields:#018x}, queue {queue:?}",
                 pin.name
             ));
         }
