@@ -54,8 +54,8 @@ mod tests {
         let exec = w.analyze().expect("OFDM source runs").execution;
         let frame = transmit(&w.inputs[0].1);
         assert_eq!(exec.return_value, Some(frame.checksum), "checksum");
-        assert_eq!(exec.global("out_re").unwrap(), &frame.re[..], "real frame");
-        assert_eq!(exec.global("out_im").unwrap(), &frame.im[..], "imag frame");
+        assert_eq!(*exec.global("out_re").unwrap(), frame.re[..], "real frame");
+        assert_eq!(*exec.global("out_im").unwrap(), frame.im[..], "imag frame");
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod tests {
         let exec = w.analyze().expect("Sobel compiles and runs").execution;
         let expected = detect(&w.inputs[0].1, dim, 160);
         assert_eq!(exec.return_value, Some(expected.count));
-        assert_eq!(exec.global("edges").unwrap(), &expected.edges[..]);
+        assert_eq!(*exec.global("edges").unwrap(), expected.edges[..]);
     }
 
     #[test]

@@ -30,16 +30,26 @@
 //!   the block that would cross it runs instruction by instruction, up
 //!   to the limit, so a fault before the limit still wins and every
 //!   [`ProfileError`] is the one a per-instruction count would give.
-//! * **Each global stays its own array.** A global is a zeroed `Vec`
-//!   whose pages the allocator leaves unmapped until the program touches
-//!   them, and the run moves it into [`Execution::globals`] uncopied.
-//!   The 256×256 JPEG encoder's 1.8M-element bitstream buffer touches
-//!   about 94 pages of it; one flat memory built by copying would make
-//!   all 14 MB resident.
+//! * **An array holds the prefix the run has written.** A global starts
+//!   as its initialiser (or a longer input), a local starts empty. A
+//!   store past the prefix grows it to twice its length or just past
+//!   the stored index, whichever is longer, but never past the declared
+//!   length; a load past it reads 0. Bounds are judged against the
+//!   declared length, so every [`ProfileError`] is the one a full array
+//!   gives, and a prefix the allocator refuses is
+//!   [`ProfileError::OutOfMemory`], not an abort. A zeroed `Vec` of the
+//!   declared length would leave its untouched pages unmapped only while
+//!   the allocator serves it from a fresh `mmap`: after the first large
+//!   free, glibc raises its mmap threshold and serves the next one from
+//!   the heap, memset and resident. The 256×256 JPEG encoder writes
+//!   48,359 (seed 42) of its bitstream buffer's 1,769,472 elements, so
+//!   its prefix ends at 65,536 (0.5 MB) instead of 14 MB, and a hostile
+//!   declared length costs nothing until a store reaches far into it.
 
 use crate::ProfileError;
 use amdrel_minic::ast::{BinOp, UnOp};
 use amdrel_minic::ir::{self, ArrayRef, Function, Instr, IrProgram, Operand, Terminator};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 #[cfg(test)]
@@ -54,15 +64,47 @@ pub struct Execution {
     pub instrs_retired: u64,
     /// The entry function's return value, if it returned one.
     pub return_value: Option<i64>,
-    /// Final contents of every global array, by name.
-    pub globals: HashMap<String, Vec<i64>>,
+    /// Every global array as the run left it, in declaration order.
+    globals: Vec<Global>,
+}
+
+/// A global array after a run: every element past `prefix` is zero.
+#[derive(Debug, Clone)]
+struct Global {
+    name: String,
+    /// The declared length.
+    len: usize,
+    prefix: Vec<i64>,
 }
 
 impl Execution {
-    /// Final contents of the named global array.
-    pub fn global(&self, name: &str) -> Option<&[i64]> {
-        self.globals.get(name).map(Vec::as_slice)
+    /// Final contents of the named global array, all of its declared
+    /// length. The run keeps only the prefix it wrote; when that is
+    /// shorter than the array, this returns a zero-padded copy, so only
+    /// a caller that asks pays for the full length.
+    pub fn global(&self, name: &str) -> Option<Cow<'_, [i64]>> {
+        let g = self.globals.iter().find(|g| g.name == name)?;
+        Some(if g.prefix.len() == g.len {
+            Cow::Borrowed(&g.prefix)
+        } else {
+            let mut full = vec![0; g.len];
+            full[..g.prefix.len()].copy_from_slice(&g.prefix);
+            Cow::Owned(full)
+        })
     }
+}
+
+/// Pair each of `ir`'s globals with the prefix a run left in it.
+fn globals(ir: &IrProgram, prefixes: Vec<Vec<i64>>) -> Vec<Global> {
+    ir.globals
+        .iter()
+        .zip(prefixes)
+        .map(|(g, prefix)| Global {
+            name: g.name.clone(),
+            len: g.len,
+            prefix,
+        })
+        .collect()
 }
 
 /// Interpreter for a compiled [`IrProgram`].
@@ -80,7 +122,7 @@ impl Execution {
 /// )?;
 /// let exec = Interpreter::new(&ir).run(&[])?;
 /// assert_eq!(exec.return_value, Some(42));
-/// assert_eq!(exec.global("out"), Some(&[42][..]));
+/// assert_eq!(exec.global("out").as_deref(), Some(&[42][..]));
 /// # Ok(())
 /// # }
 /// ```
@@ -95,6 +137,8 @@ pub struct Interpreter<'p> {
     /// The register file a run starts from: zeroed variables, then the
     /// constants.
     regs: Vec<i64>,
+    /// Declared length of every array, globals first.
+    lens: Vec<usize>,
 }
 
 /// Default instruction budget: generous enough for a 256×256 JPEG encode,
@@ -324,12 +368,15 @@ impl<'p> Interpreter<'p> {
     /// An interpreter with the default step budget.
     pub fn new(ir: &'p IrProgram) -> Self {
         let (ops, blocks, regs) = Decoder::decode(&ir.entry, ir.globals.len());
+        let lens = ir.globals.iter().map(|g| g.len);
+        let lens = lens.chain(ir.entry.arrays.iter().map(|a| a.len)).collect();
         Interpreter {
             ir,
             step_limit: DEFAULT_STEP_LIMIT,
             ops,
             blocks,
             regs,
+            lens,
         }
     }
 
@@ -346,20 +393,12 @@ impl<'p> Interpreter<'p> {
     /// # Errors
     ///
     /// [`ProfileError`] on unknown input names, oversized inputs, division
-    /// by zero, out-of-range shifts/indices, or step-budget exhaustion.
+    /// by zero, out-of-range shifts/indices, step-budget exhaustion, or
+    /// an array prefix the allocator cannot hold.
     pub fn run(&self, inputs: &[(&str, &[i64])]) -> Result<Execution, ProfileError> {
-        // Zeroed allocations stay untouched until used, so a huge, sparsely
-        // accessed global costs only the pages the program reaches.
-        let mut arrays: Vec<Vec<i64>> = self
-            .ir
-            .globals
-            .iter()
-            .map(|g| {
-                let mut data = vec![0; g.len];
-                data[..g.init.len()].copy_from_slice(&g.init);
-                data
-            })
-            .collect();
+        // Each array holds only the prefix written so far: a global
+        // starts as its initialiser, a local empty.
+        let mut arrays: Vec<Vec<i64>> = self.ir.globals.iter().map(|g| g.init.clone()).collect();
         for (name, data) in inputs {
             let gi = self
                 .ir
@@ -369,16 +408,20 @@ impl<'p> Interpreter<'p> {
                 .ok_or_else(|| ProfileError::UnknownInput {
                     name: (*name).to_owned(),
                 })?;
-            if data.len() > arrays[gi].len() {
+            if data.len() > self.lens[gi] {
                 return Err(ProfileError::InputTooLong {
                     name: (*name).to_owned(),
                     len: data.len(),
-                    capacity: arrays[gi].len(),
+                    capacity: self.lens[gi],
                 });
             }
-            arrays[gi][..data.len()].copy_from_slice(data);
+            let prefix = &mut arrays[gi];
+            if prefix.len() < data.len() {
+                prefix.resize(data.len(), 0);
+            }
+            prefix[..data.len()].copy_from_slice(data);
         }
-        arrays.extend(self.ir.entry.arrays.iter().map(|a| vec![0; a.len]));
+        arrays.resize_with(self.lens.len(), Vec::new);
 
         let mut regs = self.regs.clone();
         let mut counts = vec![0u64; self.blocks.len()];
@@ -433,19 +476,11 @@ impl<'p> Interpreter<'p> {
             } as usize;
         };
 
-        arrays.truncate(self.ir.globals.len());
-        let globals = self
-            .ir
-            .globals
-            .iter()
-            .zip(arrays)
-            .map(|(g, data)| (g.name.clone(), data))
-            .collect();
         Ok(Execution {
             block_counts: counts,
             instrs_retired: retired,
             return_value,
-            globals,
+            globals: globals(self.ir, arrays),
         })
     }
 
@@ -497,10 +532,10 @@ impl<'p> Interpreter<'p> {
                 Op::Load { dst, array, index } => {
                     let i = regs[index as usize];
                     let data = &arrays[array as usize];
-                    match usize::try_from(i).ok().and_then(|i| data.get(i)) {
-                        Some(&v) => regs[dst as usize] = v,
-                        None => return Err(self.out_of_bounds(array, i, data.len())),
-                    }
+                    regs[dst as usize] = match usize::try_from(i).ok().and_then(|i| data.get(i)) {
+                        Some(&v) => v,
+                        None => self.load_past_prefix(array, i)?,
+                    };
                 }
                 Op::Store {
                     array,
@@ -510,10 +545,9 @@ impl<'p> Interpreter<'p> {
                     let i = regs[index as usize];
                     let v = regs[value as usize];
                     let data = &mut arrays[array as usize];
-                    let len = data.len();
                     match usize::try_from(i).ok().and_then(|i| data.get_mut(i)) {
                         Some(cell) => *cell = v,
-                        None => return Err(self.out_of_bounds(array, i, len)),
+                        None => self.store_past_prefix(array, i, v, data)?,
                     }
                 }
             }
@@ -521,20 +555,59 @@ impl<'p> Interpreter<'p> {
         Ok(())
     }
 
-    /// The error for an out-of-range access, built only on that path so
-    /// in-bounds accesses never touch the array's name.
+    /// A load past the prefix `array` holds: 0 within its declared
+    /// length.
     #[cold]
-    fn out_of_bounds(&self, array: u32, index: i64, len: usize) -> ProfileError {
+    fn load_past_prefix(&self, array: u32, index: i64) -> Result<i64, ProfileError> {
+        self.declared(array, index).map(|_| 0)
+    }
+
+    /// A store past `prefix`, the part of `array` the run holds: grow the
+    /// prefix to twice its length or just past `index`, whichever is
+    /// longer, but never past the declared length, then store.
+    #[cold]
+    fn store_past_prefix(
+        &self,
+        array: u32,
+        index: i64,
+        value: i64,
+        prefix: &mut Vec<i64>,
+    ) -> Result<(), ProfileError> {
+        let i = self.declared(array, index)?;
+        let len = (i + 1).max(2 * prefix.len()).min(self.lens[array as usize]);
+        if prefix.try_reserve_exact(len - prefix.len()).is_err() {
+            return Err(ProfileError::OutOfMemory {
+                array: self.name(array).to_owned(),
+                len,
+            });
+        }
+        prefix.resize(len, 0);
+        prefix[i] = value;
+        Ok(())
+    }
+
+    /// `index` as a position within `array`'s declared length, or the
+    /// out-of-bounds error, built only on this path so in-prefix
+    /// accesses never touch the array's name.
+    fn declared(&self, array: u32, index: i64) -> Result<usize, ProfileError> {
+        let len = self.lens[array as usize];
+        match usize::try_from(index) {
+            Ok(i) if i < len => Ok(i),
+            _ => Err(ProfileError::IndexOutOfBounds {
+                array: self.name(array).to_owned(),
+                index,
+                len,
+            }),
+        }
+    }
+
+    /// The source name of `array`.
+    fn name(&self, array: u32) -> &str {
         let array = array as usize;
         let globals = &self.ir.globals;
-        let name = match globals.get(array) {
+        match globals.get(array) {
             Some(g) => &g.name,
             None => &self.ir.entry.arrays[array - globals.len()].name,
-        };
-        ProfileError::IndexOutOfBounds {
-            array: name.clone(),
-            index,
-            len,
         }
     }
 }
@@ -639,7 +712,7 @@ mod tests {
         .unwrap();
         let e = Interpreter::new(&ir).run(&[("x", &[1, 2, 3, 4])]).unwrap();
         assert_eq!(e.return_value, Some(16));
-        assert_eq!(e.global("y"), Some(&[1, 4, 9, 16][..]));
+        assert_eq!(e.global("y").as_deref(), Some(&[1, 4, 9, 16][..]));
     }
 
     #[test]
@@ -732,12 +805,12 @@ mod tests {
     fn short_initialiser_is_zero_padded() {
         let e = run("int a[5] = {1, 2}; int main() { return a[0] * 100 + a[1] * 10 + a[4]; }");
         assert_eq!(e.return_value, Some(120));
-        assert_eq!(e.global("a"), Some(&[1, 2, 0, 0, 0][..]));
+        assert_eq!(e.global("a").as_deref(), Some(&[1, 2, 0, 0, 0][..]));
 
         let ir = compile_to_ir("int a[5] = {1, 2}; int main() { return a[3]; }", "main").unwrap();
         let e = Interpreter::new(&ir).run(&[("a", &[7, 8, 9, 4])]).unwrap();
         assert_eq!(e.return_value, Some(4));
-        assert_eq!(e.global("a"), Some(&[7, 8, 9, 4, 0][..]));
+        assert_eq!(e.global("a").as_deref(), Some(&[7, 8, 9, 4, 0][..]));
     }
 
     #[test]
@@ -782,7 +855,15 @@ mod tests {
 
     fn observe(run: Result<Execution, ProfileError>) -> Observed {
         run.map(|e| {
-            let globals = e.globals.into_iter().collect();
+            let globals = e
+                .globals
+                .iter()
+                .map(|g| {
+                    assert!(g.prefix.len() <= g.len, "'{}' outgrew its length", g.name);
+                    let full = e.global(&g.name).expect("a listed global");
+                    (g.name.clone(), full.into_owned())
+                })
+                .collect();
             (e.block_counts, e.instrs_retired, e.return_value, globals)
         })
     }
@@ -828,15 +909,32 @@ mod tests {
         }
     }
 
+    /// A run keeps only the prefix it wrote, yet [`Execution::global`]
+    /// returns the whole declared array.
+    #[test]
+    fn a_run_holds_only_the_written_prefix() {
+        let e = run("int big[1000000]; int main() { for (int i = 0; i < 1000; i++) { big[i] = i + 1; } return big[999999]; }");
+        assert_eq!(e.return_value, Some(0));
+        let prefix = &e.globals[0].prefix;
+        assert!(prefix.capacity() < 4096, "holds {}", prefix.capacity());
+        let full = e.global("big").expect("declared");
+        assert_eq!(full.len(), 1_000_000);
+        assert!(full[..1000].iter().copied().eq(1..=1000));
+        assert!(full[1000..].iter().all(|&v| v == 0));
+    }
+
     /// Generates [`Case`]s: mini-C programs with nested counted loops over
     /// global and local arrays, data-dependent `if`s, and `/`, `%`, `<<`
     /// and `>>` on generated operands, so division by zero, out-of-range
-    /// shifts and out-of-bounds indices all occur.
+    /// shifts and out-of-bounds indices all occur. Arrays are short or up
+    /// to 100,000 elements long, and accesses reach the last element,
+    /// scattered elements never written, and exactly the declared length,
+    /// so every run grows, skips and overruns the written prefix.
     struct Programs;
 
-    /// One generated program, its `g1` input (sometimes one too long)
-    /// and its step budget (the default, or one small enough to stop
-    /// many runs).
+    /// One generated program, its `g1` input (sometimes longer than
+    /// `g1`'s initialiser, sometimes longer than `g1`) and its step
+    /// budget (the default, or one small enough to stop many runs).
     struct Case {
         source: String,
         input: Vec<i64>,
@@ -894,16 +992,13 @@ mod tests {
         }
 
         fn case(&mut self) -> Case {
-            self.lens = [1 + self.below(8), 1 + self.below(8), 1 + self.below(8)];
+            self.lens = [(); 3].map(|()| match self.below(4) {
+                0 => 1 + self.below(100_000),
+                _ => 1 + self.below(8),
+            });
             let [g0, g1, t] = self.lens;
-            let init: Vec<String> = (0..self.below(g0 + 1))
-                .map(|_| self.below(20).to_string())
-                .collect();
-            let init = if init.is_empty() {
-                String::new()
-            } else {
-                format!(" = {{{}}}", init.join(", "))
-            };
+            let (init0, _) = self.init(g0);
+            let (init1, init1_len) = self.init(g1);
             let scalars: Vec<String> = SCALARS
                 .iter()
                 .map(|v| format!("int {v} = {};", self.constant()))
@@ -911,12 +1006,13 @@ mod tests {
             let body = self.stmts(3);
             let ret = self.expr(2);
             let source = format!(
-                "int g0[{g0}]{init};\nint g1[{g1}];\nint main() {{\n  int t[{t}];\n  {}\n{body}  return {ret};\n}}\n",
+                "int g0[{g0}]{init0};\nint g1[{g1}]{init1};\nint main() {{\n  int t[{t}];\n  {}\n{body}  return {ret};\n}}\n",
                 scalars.join(" ")
             );
             let input_len = match self.below(8) {
                 0 => g1 + 1,
-                _ => self.below(g1 + 1),
+                1 | 2 if init1_len < g1 => init1_len + 1 + self.below(g1 - init1_len),
+                _ => self.below(g1.min(8) + 1),
             };
             let input = (0..input_len).map(|_| self.below(41) as i64 - 20).collect();
             let step_limit = match self.below(3) {
@@ -928,6 +1024,18 @@ mod tests {
                 input,
                 step_limit,
             }
+        }
+
+        /// An initialiser of at most eight values for an array of `len`
+        /// elements, or none, and how many values it has.
+        fn init(&mut self, len: usize) -> (String, usize) {
+            let values: Vec<String> = (0..self.below(len.min(8) + 1))
+                .map(|_| self.below(20).to_string())
+                .collect();
+            if values.is_empty() {
+                return (String::new(), 0);
+            }
+            (format!(" = {{{}}}", values.join(", ")), values.len())
         }
 
         /// Mostly small constants, sometimes one at the edges of the
@@ -990,14 +1098,18 @@ mod tests {
             }
         }
 
-        /// An index into `ARRAYS[a]`: in bounds more often than not.
+        /// An index into `ARRAYS[a]`: in bounds more often than not, and
+        /// sometimes the last element, a scattered one or exactly the
+        /// declared length.
         fn index(&mut self, a: usize) -> String {
             let len = self.lens[a];
-            match self.below(7) {
+            match self.below(9) {
                 0 if self.loops > 0 => format!("i{}", self.below(self.loops)),
                 1 => self.below(len + 1).to_string(),
                 2 => self.expr(1),
                 3 => format!("({} % {len})", self.expr(1)),
+                4 => (len - 1).to_string(),
+                5 if self.below(3) == 0 => len.to_string(),
                 _ => format!("((({} % {len}) + {len}) % {len})", self.expr(1)),
             }
         }

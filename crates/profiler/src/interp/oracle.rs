@@ -1,6 +1,7 @@
 //! The reference interpreter of the differential tests: a direct walk
 //! over the IR, one `Instr` at a time, charging the step budget per
-//! instruction.
+//! instruction, with every array allocated in full at its declared
+//! length.
 
 use super::Execution;
 use crate::ProfileError;
@@ -84,18 +85,11 @@ impl<'p> Oracle<'p> {
             }
         };
 
-        let globals_out = self
-            .ir
-            .globals
-            .iter()
-            .zip(globals)
-            .map(|(g, data)| (g.name.clone(), data))
-            .collect();
         Ok(Execution {
             block_counts: counts,
             instrs_retired: retired,
             return_value,
-            globals: globals_out,
+            globals: super::globals(self.ir, globals),
         })
     }
 

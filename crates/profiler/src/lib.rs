@@ -94,6 +94,14 @@ pub enum ProfileError {
         /// The budget that was exceeded.
         limit: u64,
     },
+    /// The allocator refused the memory to grow the written prefix of an
+    /// array: a store far into a huge declared array.
+    OutOfMemory {
+        /// Array name.
+        array: String,
+        /// Elements the prefix needed.
+        len: usize,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -119,6 +127,9 @@ impl fmt::Display for ProfileError {
             }
             ProfileError::StepLimit { limit } => {
                 write!(f, "execution exceeded the step limit of {limit}")
+            }
+            ProfileError::OutOfMemory { array, len } => {
+                write!(f, "out of memory holding {len} elements of '{array}'")
             }
         }
     }

@@ -1070,6 +1070,42 @@ fn sharded_simulate_report_is_bit_deterministic() {
     assert_eq!(out1, out2, "sharded runs must replay bit-for-bit");
 }
 
+/// The profiler holds only the part of an array a program writes, so a
+/// huge declared length costs nothing until a store reaches far into
+/// it, and a store the allocator cannot hold is a one-line error, not
+/// an abort.
+#[test]
+fn hostile_array_sizes_fail_cleanly() {
+    for (name, len) in [
+        ("huge_global.c", "1000000000000"),
+        ("capacity_overflow_global.c", "9000000000000000000"),
+    ] {
+        let body = format!("int big[{len}]; int main() {{ big[3] = 7; return big[3]; }}");
+        let src = write_source(name, &body);
+        let (ok, stdout, stderr) = amdrel(&["analyze", src.to_str().unwrap()]);
+        assert!(ok, "{len}: {stderr}");
+        assert!(stdout.contains("basic blocks"), "{len}: {stdout}");
+        assert!(stdout.contains("total weight"), "{len}: {stdout}");
+    }
+
+    // An 800 PB request: no address space maps it, whatever the
+    // overcommit setting.
+    let src = write_source(
+        "unholdable_store.c",
+        "int big[100000000000000000]; int main() { big[99999999999999999] = 7; return 0; }",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_amdrel"))
+        .args(["analyze", src.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.matches("error:").count(), 1, "{stderr}");
+    assert!(stderr.contains("out of memory"), "{stderr}");
+    assert!(stderr.contains("'big'"), "{stderr}");
+}
+
 #[test]
 fn bad_source_is_reported_with_position() {
     let src = write_source("broken.c", "int main() { return q; }");
