@@ -155,6 +155,7 @@ impl FaultSpec {
     /// Whether bitstream-load attempt `attempt` of `job` fails. Pure:
     /// the same inputs always answer the same, regardless of call order
     /// or anything else the simulator did.
+    #[inline]
     pub fn load_fails(&self, job: u64, attempt: u32) -> bool {
         self.load_fail_permille > 0
             && self.attempt_stream(CH_LOAD, job, attempt).below(1000)
@@ -164,6 +165,7 @@ impl FaultSpec {
     /// Whether fine-grain execution attempt `attempt` of `job` is
     /// killed by a transient fabric fault; `Some(p)` gives the permille
     /// of the phase that completed (and is wasted) before the kill.
+    #[inline]
     pub fn fabric_kill(&self, job: u64, attempt: u32) -> Option<u64> {
         if self.transient_permille == 0 {
             return None;
@@ -178,6 +180,7 @@ impl FaultSpec {
     /// Whether coarse-grain execution attempt `attempt` of `job` is
     /// killed by a CGC slot outage; `Some(p)` as in
     /// [`Self::fabric_kill`].
+    #[inline]
     pub fn slot_outage(&self, job: u64, attempt: u32) -> Option<u64> {
         if self.outage_permille == 0 {
             return None;
@@ -191,6 +194,7 @@ impl FaultSpec {
 
     /// The absolute reap time of a job arriving at `arrival`, if
     /// deadlines are enabled.
+    #[inline]
     pub fn job_deadline(&self, arrival: u64) -> Option<u64> {
         self.deadline.map(|d| arrival.saturating_add(d.get()))
     }

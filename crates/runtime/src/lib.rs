@@ -21,8 +21,9 @@
 //! * [`SchedulePolicy`] — pluggable dispatch: [`Fcfs`],
 //!   [`ShortestJobFirst`], [`PriorityFirst`], [`ConfigAffinity`];
 //! * [`Simulation`] — the builder facade over the deterministic
-//!   discrete-event simulator (one event slot per resource plus a
-//!   deadline FIFO, events totally ordered by `(time, sequence)`),
+//!   discrete-event simulator (each resource holds its one pending
+//!   event inline with its job, deadlines wait in a FIFO, and events
+//!   are totally ordered by `(time, sequence)`),
 //!   with a configuration cache, optional bitstream prefetch, an
 //!   admission bound ([`SimConfig`])
 //!   and streaming latency aggregation ([`SketchMode`]);
@@ -94,7 +95,6 @@ mod backoff;
 mod fault;
 mod policy;
 mod profile;
-mod queue;
 mod region;
 mod report;
 mod shard;
@@ -108,9 +108,8 @@ pub use policy::{
     policy_by_name, ConfigAffinity, Fcfs, PriorityFirst, SchedulePolicy, ShortestJobFirst,
 };
 pub use profile::{AppProfile, ConfigId, FabricConfig, FALLBACK_FINE_PENALTY};
-pub use queue::QueueStats;
 pub use region::RegionPlan;
-pub use report::{report_to_json, AppStats, ReliabilityStats, RuntimeReport};
+pub use report::{report_to_json, AppStats, QueueStats, ReliabilityStats, RuntimeReport};
 pub use shard::shard_of;
 pub use sim::{SimConfig, Simulation};
 pub use sketch::{LatencySketch, LatencySource, SketchMode, EXACT_THRESHOLD, SUB_BITS};

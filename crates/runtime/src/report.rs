@@ -4,7 +4,6 @@
 //! [`amdrel_core::json`] writer.
 
 use crate::fault::{FaultSpec, RecoveryPolicy};
-use crate::queue::QueueStats;
 use crate::sim::SimConfig;
 use crate::sketch::{LatencySketch, LatencySource};
 use amdrel_core::json::escape;
@@ -126,6 +125,24 @@ pub struct ReliabilityStats {
     /// 95th-percentile latency over fault-touched completions only (0
     /// when none).
     pub p95_faulted: u64,
+}
+
+/// Event-structure statistics of a run — the `queue` half of a
+/// [`RuntimeReport`]'s `metrics`.
+///
+/// All fields derive purely from the deterministic event stream, so
+/// two runs of one scenario snapshot identical stats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct QueueStats {
+    /// Events scheduled over the run.
+    pub events: u64,
+    /// Always 0: the engine keeps each pending event on its resource
+    /// and never rehashes. The field stays so the JSON `queue` object
+    /// and the `queue.rehashes` metric keep the shape their readers
+    /// (the benchmark among them) expect.
+    pub rehashes: u64,
+    /// Peak number of pending events, sampled after each schedule.
+    pub peak_occupancy: u64,
 }
 
 /// The complete outcome of one simulation run. All fields are integers
@@ -386,7 +403,8 @@ impl RuntimeReport {
 ///
 /// v5 drops `day_width` from the `queue` object and the
 /// `queue.day_width` metric: the calendar queue that had one is gone
-/// (`rehashes` stays, always 0 — the event lanes never rehash). Every
+/// (`rehashes` stays, always 0 — the engine keeps each pending event on
+/// its resource and never rehashes). Every
 /// other v4 key is retained unchanged. Earlier history: v4 added the `queue` object
 /// (events scheduled, rehashes, peak occupancy) and the `metrics`
 /// object (the [`RuntimeReport::metrics`] registry, flat dotted-path

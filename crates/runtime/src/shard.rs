@@ -47,8 +47,7 @@
 //! degenerate cases are *byte*-identical to the unsharded oracle,
 //! report, JSON, metrics and trace included.
 
-use crate::queue::QueueStats;
-use crate::report::RuntimeReport;
+use crate::report::{QueueStats, RuntimeReport};
 use crate::sim::{Engine, Ledger, Simulation};
 use crate::sketch::LatencySource;
 use crate::workload::Job;
@@ -105,9 +104,15 @@ pub(crate) fn run_sharded<I: Iterator<Item = Job>>(
             .collect();
         // Join strictly in shard order: whichever thread finishes
         // first, the fold below always consumes shard 0, then 1, … so
-        // the merged report cannot depend on the scheduler.
+        // the merged report cannot depend on the scheduler. A shard's
+        // panic (say, the engine rejecting a job) is re-raised with its
+        // own message, as the unsharded run would raise it.
         for handle in handles {
-            folds.push(handle.join().expect("shard thread panicked"));
+            folds.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
         }
     });
 

@@ -29,30 +29,38 @@
 //!
 //! # Engine
 //!
-//! The event core is [`EventLanes`], ordered by `(time, seq)`, and it
-//! holds **no arrivals**. Arrivals are merged lazily from the
-//! (time-sorted) job stream, with arrivals winning time ties — exactly
-//! the order the historical all-events heap produced, where every
-//! arrival was pushed before any completion and therefore carried a
-//! smaller sequence number. That heap is retained behind `#[cfg(test)]`
-//! as a differential oracle.
+//! Each resource holds its one pending event inline with the job it
+//! concerns, and the engine keeps **no arrivals** as events:
 //!
-//! Each resource has at most one pending event: the fabric's phase end,
-//! fault or retry, and each CGC slot's completion, outage or repair. So
-//! each resource gets one event slot (the fabric is lane 0, CGC slot
-//! `s` lane `1 + s`), and the job an event concerns stays on its
-//! resource (the fabric holds an `Option<Job>`, each slot an
-//! `Option<CgcTask>`): the event carries only its kind plus an attempt
-//! number or slot id. Deadlines, one per admitted job when they are on,
-//! wait in a FIFO lane, because reap times (`arrival + deadline`) are
-//! scheduled in key order. The next event is the smallest lane head,
-//! which is exactly the heap's order. Without deadlines the lanes hold
-//! `1 + cgc_slots` events at most.
+//! * the fabric is idle, or holds one job with its next event — the
+//!   fine phase's end, a load fault, a kill, or a retry after backoff.
+//!   The job keeps the fabric through its whole retry chain;
+//! * each CGC slot is free, busy with one task and the event that ends
+//!   it (the coarse phase's end, or an outage), or down until its
+//!   repair;
+//! * deadlines, one per admitted job when they are on, wait in a FIFO,
+//!   because reap times (`arrival + deadline`) are scheduled in key
+//!   order.
+//!
+//! Every event carries a `(time, seq)` key. The next event is the
+//! smallest key found by scanning the fabric, the slots and the front of
+//! the deadline FIFO, which is exactly the order of the historical
+//! all-events heap. The scan runs once after each event fires; an event
+//! scheduled in between carries the largest `seq` yet, so it becomes the
+//! next one only if it is strictly earlier. Arrivals are merged lazily
+//! from the (time-sorted) job stream: each waits only for the events
+//! strictly before it, so arrivals win time ties, as they did in that
+//! heap, where every arrival was pushed before any completion and
+//! therefore carried a smaller sequence number. The heap is retained
+//! behind `#[cfg(test)]` as a differential oracle. Without deadlines at
+//! most `1 + cgc_slots` events are pending.
 //!
 //! The per-job path does only the work a run needs: each profile's
 //! scalar reconfiguration charge is priced once per run, a coarse task
-//! that finds the CGC queue empty and a slot free starts on that slot
-//! directly, and trace events are built only when a sink is attached.
+//! that finds the CGC queue empty starts on the smallest free slot
+//! directly, and trace events are built only when a sink is attached,
+//! out of line, from values the trace closures copy (a closure that
+//! borrowed a job would pin it to memory on the untraced path too).
 //!
 //! # Entry point
 //!
@@ -63,9 +71,8 @@
 use crate::fault::{permille_of, FaultSpec, RecoveryPolicy};
 use crate::policy::{Fcfs, SchedulePolicy};
 use crate::profile::{AppProfile, ConfigId};
-use crate::queue::{EventLanes, Lane, QueueStats};
 use crate::region::RegionPlan;
-use crate::report::{AppStats, ReliabilityStats, RuntimeReport};
+use crate::report::{AppStats, QueueStats, ReliabilityStats, RuntimeReport};
 use crate::sketch::{LatencySketch, LatencySource, SketchMode};
 use crate::workload::{Job, WorkloadSpec};
 use amdrel_core::Platform;
@@ -118,50 +125,68 @@ struct CgcTask {
     faulted: bool,
 }
 
-/// A scheduled event; arrivals never enter the event queue (they are
-/// merged lazily from the sorted job stream). Fault, repair and
-/// deadline events share the `(time, seq)` total order with completions
-/// — at equal times the earlier-scheduled event fires first,
-/// deterministically. Fabric events concern the job the fabric holds,
-/// slot events the task in that slot (see the module docs).
+/// The fabric: idle, or holding one job (through its whole retry chain)
+/// with the one event pending on it.
 #[derive(Debug, Clone, Copy)]
-enum Completion {
-    /// The fabric finishes its job's fine-grain phase (attempt > 0
-    /// means it recovered from at least one fault first).
-    Fpga { attempt: u32 },
-    /// CGC slot `slot` finishes its coarse-phase task.
-    Cgc { slot: u32 },
-    /// The bitstream load of the fabric job's attempt fails after
-    /// stalling the fabric for its full streaming time.
-    LoadFault { attempt: u32 },
-    /// A transient fabric fault kills the in-flight fine phase.
-    FabricFault { attempt: u32 },
-    /// Backoff elapsed: the fabric (still holding its job) retries.
-    FabricRetry { attempt: u32 },
-    /// An outage of CGC slot `slot` kills its task's in-flight coarse
-    /// phase; the slot stays down until its repair event.
-    SlotFault { slot: u32 },
-    /// Failed CGC slot `slot` returns to the pool.
-    SlotRepair { slot: u32 },
-    /// `job_id`'s deadline: reap it if it still waits for the fabric.
-    Deadline { job_id: u64 },
+enum Fabric {
+    Idle,
+    Busy {
+        time: u64,
+        seq: u64,
+        kind: FabricEvent,
+        /// Fabric attempt the event belongs to (for a retry, the attempt
+        /// it starts); attempt > 0 means the job met a fault first.
+        attempt: u32,
+        job: Job,
+    },
 }
 
-impl Completion {
-    /// The lane the event waits in: the fabric is resource 0 and CGC
-    /// slot `s` resource `1 + s`; deadlines share the FIFO lane.
-    fn lane(self) -> Lane {
-        match self {
-            Completion::Fpga { .. }
-            | Completion::LoadFault { .. }
-            | Completion::FabricFault { .. }
-            | Completion::FabricRetry { .. } => Lane::Resource(0),
-            Completion::Cgc { slot }
-            | Completion::SlotFault { slot }
-            | Completion::SlotRepair { slot } => Lane::Resource(1 + slot as usize),
-            Completion::Deadline { .. } => Lane::Deadline,
-        }
-    }
+/// What the fabric's pending event does when it fires.
+#[derive(Debug, Clone, Copy)]
+enum FabricEvent {
+    /// The job's fine-grain phase ends.
+    Done,
+    /// The bitstream load fails after stalling the fabric for its full
+    /// streaming time.
+    LoadFault,
+    /// A transient fabric fault kills the in-flight fine phase.
+    Kill,
+    /// Backoff elapsed: the job retries.
+    Retry,
+}
+
+/// One CGC slot: free, running one task until its event, or down after
+/// an outage until its repair at `(time, seq)`.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Free,
+    Busy {
+        time: u64,
+        seq: u64,
+        kind: SlotEvent,
+        task: CgcTask,
+    },
+    Down {
+        time: u64,
+        seq: u64,
+    },
+}
+
+/// What a busy slot's pending event does when it fires.
+#[derive(Debug, Clone, Copy)]
+enum SlotEvent {
+    /// The task's coarse phase ends.
+    Done,
+    /// An outage kills the task's coarse phase; the slot goes down.
+    Outage,
+}
+
+/// Where the next event waits.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    Fabric,
+    Slot(usize),
+    Deadline,
 }
 
 /// Streaming run accounting: counters plus one [`LatencySketch`] per
@@ -345,15 +370,23 @@ pub(crate) struct Engine<'a> {
     faults: FaultSpec,
     recovery: RecoveryPolicy,
 
-    events: EventLanes<Completion>,
+    /// Sequence number of the next scheduled event, so at the end of a
+    /// run the number of events scheduled.
     next_seq: u64,
+    /// Events pending on the fabric, the slots and the deadline FIFO.
+    pending: usize,
+    /// Peak of `pending`, sampled after each schedule.
+    peak: usize,
+    /// The next event, `(time, seq, place)`: kept as events are
+    /// scheduled, and found again by [`Engine::next_event`]'s scan after
+    /// each event fires.
+    next: Option<(u64, u64, Next)>,
     /// Each profile's scalar reconfiguration charge, `(bitstream loads,
     /// fabric stall cycles)`, priced once per run.
     charges: Vec<(u64, u64)>,
 
     fpga_queue: Vec<Job>,
-    /// The job holding the fabric (through its whole retry chain).
-    fabric: Option<Job>,
+    fabric: Fabric,
     loaded: Option<ConfigId>,
     /// Region-granular reconfiguration, when a partial plan is attached
     /// (a single full-fabric region keeps the scalar path, `None` here).
@@ -362,14 +395,12 @@ pub(crate) struct Engine<'a> {
     region_owner: Vec<Option<ConfigId>>,
 
     cgc_queue: VecDeque<CgcTask>,
-    /// The task running (or killed by an outage) in each CGC slot.
-    slots: Vec<Option<CgcTask>>,
-    /// Free CGC slot ids, kept sorted descending so `pop()` hands out
-    /// the smallest id. Slots are fungible for timing — this ordering
-    /// only pins *which* slot a task runs on, so per-slot trace tracks
-    /// are deterministic while every report stays identical to the old
-    /// count-based pool.
-    free_slots: Vec<u32>,
+    /// One entry per CGC slot. Slots are fungible for timing; a task
+    /// takes the smallest free id only so that per-slot trace tracks
+    /// are deterministic.
+    slots: Vec<Slot>,
+    /// Pending deadlines, `(time, seq, job id)`, in key order.
+    deadlines: VecDeque<(u64, u64, u64)>,
 
     ledger: Ledger,
     trace: Option<&'a dyn TraceSink>,
@@ -400,42 +431,109 @@ impl<'a> Engine<'a> {
             config: sim.config,
             faults: sim.faults,
             recovery: sim.recovery,
-            events: EventLanes::new(1 + cgc_slots),
             next_seq: 0,
+            pending: 0,
+            peak: 0,
+            next: None,
             charges,
             fpga_queue: Vec::new(),
-            fabric: None,
+            fabric: Fabric::Idle,
             loaded: None,
             region_plan,
             region_owner: vec![None; region_plan.map_or(0, RegionPlan::regions)],
             cgc_queue: VecDeque::new(),
-            slots: vec![None; cgc_slots],
-            free_slots: (0..cgc_slots as u32).rev().collect(),
+            slots: vec![Slot::Free; cgc_slots],
+            deadlines: VecDeque::new(),
             ledger: Ledger::new(sim.profiles.len(), source),
             trace: sim.trace,
         }
     }
 
-    fn schedule(&mut self, time: u64, completion: Completion) {
-        self.events
-            .push(completion.lane(), time, self.next_seq, completion);
+    /// The sequence number of an event being scheduled at `time` on
+    /// `at`, counting it as pending. Its sequence number is the largest
+    /// yet, so it comes next only if it is strictly earlier than the
+    /// next event so far.
+    fn stamp(&mut self, time: u64, at: Next) -> u64 {
+        let seq = self.next_seq;
         self.next_seq += 1;
+        self.pending += 1;
+        self.peak = self.peak.max(self.pending);
+        if self.next.is_none_or(|(t, _, _)| time < t) {
+            self.next = Some((time, seq, at));
+        }
+        seq
+    }
+
+    /// Give the fabric, which `job` holds, its next event.
+    fn schedule_fabric(&mut self, time: u64, kind: FabricEvent, attempt: u32, job: Job) {
+        debug_assert!(
+            matches!(self.fabric, Fabric::Idle),
+            "the fabric already holds a pending event"
+        );
+        let seq = self.stamp(time, Next::Fabric);
+        self.fabric = Fabric::Busy {
+            time,
+            seq,
+            kind,
+            attempt,
+            job,
+        };
+    }
+
+    /// Give the claimed `slot` the event that ends `task`'s run on it.
+    fn schedule_slot(&mut self, slot: usize, time: u64, kind: SlotEvent, task: CgcTask) {
+        let seq = self.stamp(time, Next::Slot(slot));
+        self.slots[slot] = Slot::Busy {
+            time,
+            seq,
+            kind,
+            task,
+        };
+    }
+
+    /// The next event: the smallest `(time, seq)` over the fabric, the
+    /// CGC slots and the front of the deadline FIFO.
+    fn next_event(&self) -> Option<(u64, u64, Next)> {
+        let mut next = self
+            .deadlines
+            .front()
+            .map(|&(time, seq, _)| (time, seq, Next::Deadline));
+        if let Fabric::Busy { time, seq, .. } = self.fabric {
+            if next.is_none_or(|(t, s, _)| (time, seq) < (t, s)) {
+                next = Some((time, seq, Next::Fabric));
+            }
+        }
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Slot::Busy { time, seq, .. } | Slot::Down { time, seq } = *slot {
+                if next.is_none_or(|(t, s, _)| (time, seq) < (t, s)) {
+                    next = Some((time, seq, Next::Slot(i)));
+                }
+            }
+        }
+        next
+    }
+
+    /// The smallest free CGC slot id.
+    fn free_slot(&self) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|slot| matches!(slot, Slot::Free))
     }
 
     /// Record the trace event `event` builds when a sink is attached.
     /// Everything observable flows through here, and with no sink the
-    /// closure never runs: an untraced run builds no trace events.
+    /// closure never runs: an untraced run builds no trace events. The
+    /// building happens out of line, so the per-job path stays small.
+    #[inline]
     fn emit(&self, event: impl FnOnce() -> TraceEvent) {
-        if let Some(trace) = self.trace {
+        #[cold]
+        #[inline(never)]
+        fn record(trace: &dyn TraceSink, event: impl FnOnce() -> TraceEvent) {
             trace.record(event());
         }
-    }
-
-    /// Return `slot` to the free pool, keeping the descending order that
-    /// makes `pop()` yield the smallest free id.
-    fn release_slot(&mut self, slot: u32) {
-        let at = self.free_slots.partition_point(|&free| free > slot);
-        self.free_slots.insert(at, slot);
+        if let Some(trace) = self.trace {
+            record(trace, event);
+        }
     }
 
     /// Reconfiguration charge for dispatching `job` now: `(bitstream
@@ -474,30 +572,16 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_fpga(&mut self, now: u64) {
-        if self.fabric.is_some() || self.fpga_queue.is_empty() {
+        if matches!(self.fabric, Fabric::Busy { .. }) || self.fpga_queue.is_empty() {
             return;
         }
         let pick = self.policy.pick(&self.fpga_queue, self.loaded);
         let job = self.fpga_queue.swap_remove(pick);
-        self.fabric = Some(job);
         self.start_fabric_attempt(job, 0, now);
     }
 
-    /// The job holding the fabric, for a fabric event.
-    fn fabric_job(&self) -> Job {
-        self.fabric
-            .expect("a fabric event fires while the fabric holds a job")
-    }
-
-    /// Take the task out of `slot`, for its completion or outage event.
-    fn take_task(&mut self, slot: u32) -> CgcTask {
-        self.slots[slot as usize]
-            .take()
-            .expect("a slot event fires while the slot holds a task")
-    }
-
-    /// Begin fabric attempt `attempt` of `job` (which already holds the
-    /// fabric). Consults the fault spec for a load failure, then a
+    /// Begin fabric attempt `attempt` of `job`, which takes (or keeps)
+    /// the fabric. Consults the fault spec for a load failure, then a
     /// transient kill; on the zero-rate spec neither stream is touched
     /// and the charge/schedule sequence is exactly the fault-free one.
     fn start_fabric_attempt(&mut self, job: Job, attempt: u32, now: u64) {
@@ -506,7 +590,7 @@ impl<'a> Engine<'a> {
             // The load span covers the fabric-blocking stall (with
             // prefetch that is only the first partition); `arg` carries
             // the bitstream count.
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::span(TrackId::Fabric, now, stall, "load")
                     .with_job(job.id)
                     .with_arg(loads)
@@ -520,7 +604,7 @@ impl<'a> Engine<'a> {
                         if self.config.config_cache && self.region_owner[r] == Some(job.config) {
                             continue;
                         }
-                        self.emit(|| {
+                        self.emit(move || {
                             TraceEvent::instant(TrackId::Region(r as u32), now, "reprogram")
                                 .with_job(job.id)
                         });
@@ -540,18 +624,18 @@ impl<'a> Engine<'a> {
             if let Some(plan) = self.region_plan {
                 for &r in plan.touched(job.app) {
                     self.region_owner[r] = None;
-                    self.emit(|| {
+                    self.emit(move || {
                         TraceEvent::instant(TrackId::Region(r as u32), now + stall, "scrub")
                             .with_job(job.id)
                     });
                 }
             }
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::instant(TrackId::Fabric, now + stall, "fault_load")
                     .with_job(job.id)
                     .with_arg(attempt as u64)
             });
-            self.schedule(now + stall, Completion::LoadFault { attempt });
+            self.schedule_fabric(now + stall, FabricEvent::LoadFault, attempt, job);
             return;
         }
         if loads > 0 {
@@ -570,58 +654,92 @@ impl<'a> Engine<'a> {
             let wasted = permille_of(job.fine_cycles, frac);
             self.ledger.fabric_kills += 1;
             self.ledger.fault_lost_cycles += wasted;
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::span(TrackId::Fabric, now + stall, wasted, "fine")
                     .with_job(job.id)
                     .with_arg(attempt as u64)
             });
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::instant(TrackId::Fabric, now + stall + wasted, "fault_fabric")
                     .with_job(job.id)
                     .with_arg(attempt as u64)
             });
-            self.schedule(now + stall + wasted, Completion::FabricFault { attempt });
+            self.schedule_fabric(now + stall + wasted, FabricEvent::Kill, attempt, job);
             return;
         }
         self.ledger.fpga_busy_cycles += job.fine_cycles;
-        self.emit(|| {
+        self.emit(move || {
             TraceEvent::span(TrackId::Fabric, now + stall, job.fine_cycles, "fine")
                 .with_job(job.id)
                 .with_arg(attempt as u64)
         });
-        self.schedule(now + stall + job.fine_cycles, Completion::Fpga { attempt });
+        self.schedule_fabric(
+            now + stall + job.fine_cycles,
+            FabricEvent::Done,
+            attempt,
+            job,
+        );
     }
 
-    /// A fabric attempt failed (load fault or transient kill): retry
-    /// after backoff while budget remains — the job holds the fabric
-    /// through the whole retry chain — else release the fabric and
-    /// degrade or abort.
-    fn recover_fabric(&mut self, attempt: u32, now: u64) {
-        let job = self.fabric_job();
+    /// The fabric's pending event fires at `now`.
+    fn fabric_event(&mut self, now: u64) {
+        let Fabric::Busy {
+            kind, attempt, job, ..
+        } = std::mem::replace(&mut self.fabric, Fabric::Idle)
+        else {
+            unreachable!("a fabric event fires only while the fabric holds a job")
+        };
+        match kind {
+            FabricEvent::Done => {
+                let faulted = attempt > 0;
+                if job.coarse_cycles > 0 {
+                    let task = CgcTask {
+                        job,
+                        cycles: job.coarse_cycles,
+                        attempt: 0,
+                        degraded: false,
+                        faulted,
+                    };
+                    self.submit_cgc(task, now);
+                } else {
+                    self.ledger.complete(&job, now, faulted);
+                    self.emit(move || {
+                        TraceEvent::instant(TrackId::Scheduler, now, "complete").with_job(job.id)
+                    });
+                    self.emit(move || TraceEvent::job_end(now, job.id));
+                }
+                self.dispatch_fpga(now);
+            }
+            FabricEvent::LoadFault | FabricEvent::Kill => self.recover_fabric(job, attempt, now),
+            FabricEvent::Retry => self.start_fabric_attempt(job, attempt, now),
+        }
+    }
+
+    /// Fabric attempt `attempt` of `job` failed (load fault or transient
+    /// kill): retry after backoff while budget remains — the job keeps
+    /// the fabric through the whole retry chain — else release the
+    /// fabric and degrade or abort.
+    fn recover_fabric(&mut self, job: Job, attempt: u32, now: u64) {
         if attempt < self.recovery.max_retries {
             self.ledger.retries += 1;
             let delay = self.recovery.backoff.delay(attempt);
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::instant(TrackId::Scheduler, now, "retry")
                     .with_job(job.id)
                     .with_arg((attempt + 1) as u64)
             });
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::span(TrackId::Fabric, now, delay, "backoff")
                     .with_job(job.id)
                     .with_arg(attempt as u64)
             });
-            self.schedule(
-                now + delay,
-                Completion::FabricRetry {
-                    attempt: attempt + 1,
-                },
-            );
+            self.schedule_fabric(now + delay, FabricEvent::Retry, attempt + 1, job);
             return;
         }
-        self.fabric = None;
-        if self.recovery.degrade && !self.platform.datapath.cgcs.is_empty() {
-            self.emit(|| TraceEvent::instant(TrackId::Scheduler, now, "degrade").with_job(job.id));
+        if self.recovery.degrade && !self.slots.is_empty() {
+            self.emit(move || {
+                TraceEvent::instant(TrackId::Scheduler, now, "degrade").with_job(job.id)
+            });
             let task = CgcTask {
                 job,
                 cycles: self.profiles[job.app].fallback_cycles(),
@@ -632,44 +750,35 @@ impl<'a> Engine<'a> {
             self.submit_cgc(task, now);
         } else {
             self.ledger.aborted += 1;
-            self.emit(|| TraceEvent::instant(TrackId::Scheduler, now, "abort").with_job(job.id));
-            self.emit(|| TraceEvent::job_end(now, job.id));
+            self.emit(move || {
+                TraceEvent::instant(TrackId::Scheduler, now, "abort").with_job(job.id)
+            });
+            self.emit(move || TraceEvent::job_end(now, job.id));
         }
         self.dispatch_fpga(now);
     }
 
     /// Hand a coarse task to the CGC stage: straight onto the smallest
-    /// free slot when nothing waits ahead of it (the slot
-    /// [`Engine::dispatch_cgc`] would pick), else to the back of the
+    /// free slot when nothing waits ahead of it, else to the back of the
     /// queue.
     fn submit_cgc(&mut self, task: CgcTask, now: u64) {
         if self.cgc_queue.is_empty() {
-            if let Some(slot) = self.free_slots.pop() {
+            if let Some(slot) = self.free_slot() {
                 self.start_cgc(slot, task, now);
                 return;
             }
         }
         debug_assert!(
-            self.free_slots.is_empty(),
-            "a task waits only while every slot is busy"
+            self.free_slot().is_none(),
+            "a task waits only while every slot is taken"
         );
         self.cgc_queue.push_back(task);
     }
 
-    /// Start queued tasks on free slots, smallest free id first.
-    fn dispatch_cgc(&mut self, now: u64) {
-        while let Some(&slot) = self.free_slots.last() {
-            let Some(task) = self.cgc_queue.pop_front() else {
-                return;
-            };
-            self.free_slots.pop();
-            self.start_cgc(slot, task, now);
-        }
-    }
-
-    /// Run `task` on the (already claimed) free `slot`: schedule its
-    /// completion, or the outage the fault spec draws for it.
-    fn start_cgc(&mut self, slot: u32, task: CgcTask, now: u64) {
+    /// Run `task` on the free `slot`: schedule its completion, or the
+    /// outage the fault spec draws for it.
+    fn start_cgc(&mut self, slot: usize, task: CgcTask, now: u64) {
+        let track = TrackId::CgcSlot(slot as u32);
         if !task.degraded {
             if let Some(frac) = self.faults.slot_outage(task.job.id, task.attempt) {
                 // Outage: the drawn fraction of the coarse phase runs
@@ -678,31 +787,26 @@ impl<'a> Engine<'a> {
                 let wasted = permille_of(task.cycles, frac);
                 self.ledger.slot_outages += 1;
                 self.ledger.fault_lost_cycles += wasted;
-                self.emit(|| {
-                    TraceEvent::span(TrackId::CgcSlot(slot), now, wasted, "coarse")
+                self.emit(move || {
+                    TraceEvent::span(track, now, wasted, "coarse")
                         .with_job(task.job.id)
                         .with_arg(task.attempt as u64)
                 });
-                self.emit(|| {
-                    TraceEvent::instant(
-                        TrackId::CgcSlot(slot),
-                        now.saturating_add(wasted),
-                        "fault_slot",
-                    )
-                    .with_job(task.job.id)
+                self.emit(move || {
+                    TraceEvent::instant(track, now.saturating_add(wasted), "fault_slot")
+                        .with_job(task.job.id)
                 });
                 // Saturating: dispatches after a near-`u64::MAX`
                 // slot repair pin to the end of the clock instead
                 // of overflowing it.
-                self.slots[slot as usize] = Some(task);
-                self.schedule(now.saturating_add(wasted), Completion::SlotFault { slot });
+                self.schedule_slot(slot, now.saturating_add(wasted), SlotEvent::Outage, task);
                 return;
             }
         }
         self.ledger.cgc_busy_cycles += task.cycles;
-        self.emit(|| {
+        self.emit(move || {
             TraceEvent::span(
-                TrackId::CgcSlot(slot),
+                track,
                 now,
                 task.cycles,
                 if task.degraded { "fallback" } else { "coarse" },
@@ -710,13 +814,123 @@ impl<'a> Engine<'a> {
             .with_job(task.job.id)
             .with_arg(task.attempt as u64)
         });
-        self.slots[slot as usize] = Some(task);
-        self.schedule(now.saturating_add(task.cycles), Completion::Cgc { slot });
+        self.schedule_slot(slot, now.saturating_add(task.cycles), SlotEvent::Done, task);
     }
 
+    /// `slot`'s pending event fires at `now`.
+    fn slot_event(&mut self, slot: usize, now: u64) {
+        match std::mem::replace(&mut self.slots[slot], Slot::Free) {
+            Slot::Busy {
+                kind: SlotEvent::Done,
+                task,
+                ..
+            } => {
+                if task.degraded {
+                    self.ledger.degraded += 1;
+                }
+                self.ledger
+                    .complete(&task.job, now, task.faulted || task.attempt > 0);
+                self.emit(move || {
+                    TraceEvent::instant(TrackId::Scheduler, now, "complete").with_job(task.job.id)
+                });
+                self.emit(move || TraceEvent::job_end(now, task.job.id));
+                self.dispatch_cgc(slot, now);
+            }
+            Slot::Busy {
+                kind: SlotEvent::Outage,
+                task,
+                ..
+            } => self.slot_outage(slot, task, now),
+            Slot::Down { .. } => {
+                self.emit(move || {
+                    TraceEvent::instant(TrackId::CgcSlot(slot as u32), now, "repair")
+                });
+                self.dispatch_cgc(slot, now);
+            }
+            Slot::Free => unreachable!("a slot event fires only while the slot is taken"),
+        }
+    }
+
+    /// An outage killed `task` on `slot`: the slot goes down until its
+    /// repair, and the task retries, degrades or aborts.
+    fn slot_outage(&mut self, slot: usize, task: CgcTask, now: u64) {
+        // Saturating: a repair window near `u64::MAX` pins the slot down
+        // for the rest of the run instead of overflowing the clock or
+        // the downtime counter.
+        let repair = self.faults.repair_cycles;
+        self.ledger.slot_downtime_cycles = self.ledger.slot_downtime_cycles.saturating_add(repair);
+        self.emit(move || TraceEvent::span(TrackId::CgcSlot(slot as u32), now, repair, "down"));
+        let time = now.saturating_add(repair);
+        let seq = self.stamp(time, Next::Slot(slot));
+        self.slots[slot] = Slot::Down { time, seq };
+        if task.attempt < self.recovery.max_retries {
+            self.ledger.retries += 1;
+            self.emit(move || {
+                TraceEvent::instant(TrackId::Scheduler, now, "retry")
+                    .with_job(task.job.id)
+                    .with_arg((task.attempt + 1) as u64)
+            });
+            let retry = CgcTask {
+                attempt: task.attempt + 1,
+                faulted: true,
+                ..task
+            };
+            self.submit_cgc(retry, now);
+        } else if self.recovery.degrade {
+            // Same pricing, but on the fault-immune fallback path: the
+            // reliable slow lane.
+            self.emit(move || {
+                TraceEvent::instant(TrackId::Scheduler, now, "degrade").with_job(task.job.id)
+            });
+            let fallback = CgcTask {
+                degraded: true,
+                faulted: true,
+                ..task
+            };
+            self.submit_cgc(fallback, now);
+        } else {
+            self.ledger.aborted += 1;
+            self.emit(move || {
+                TraceEvent::instant(TrackId::Scheduler, now, "abort").with_job(task.job.id)
+            });
+            self.emit(move || TraceEvent::job_end(now, task.job.id));
+        }
+    }
+
+    /// Start the front queued task on `slot`, which has just come free.
+    /// A task waits only while every slot is taken, so `slot` is the
+    /// only free one, as the smallest-free-id rule requires.
+    fn dispatch_cgc(&mut self, slot: usize, now: u64) {
+        if let Some(task) = self.cgc_queue.pop_front() {
+            self.start_cgc(slot, task, now);
+        }
+    }
+
+    /// The deadline at the front of the FIFO fires at `now`: reap its
+    /// job if it still waits for the fabric. A dispatched job is
+    /// committed and runs to completion.
+    fn deadline_event(&mut self, now: u64) {
+        let (_, _, job_id) = self
+            .deadlines
+            .pop_front()
+            .expect("a deadline event fires from a non-empty FIFO");
+        if let Some(pos) = self.fpga_queue.iter().position(|j| j.id == job_id) {
+            self.fpga_queue.swap_remove(pos);
+            self.ledger.deadline_misses += 1;
+            self.emit(move || {
+                TraceEvent::instant(TrackId::Scheduler, now, "deadline").with_job(job_id)
+            });
+            self.emit(move || TraceEvent::job_end(now, job_id));
+        }
+    }
+
+    /// Admit or reject `job` at its arrival. Inlined into the arrival
+    /// loop, so a freshly generated job reaches the fabric queue without
+    /// a round trip through memory.
+    #[inline(always)]
     fn arrive(&mut self, job: Job) {
         self.ledger.arrived[job.app] += 1;
-        self.emit(|| {
+        self.emit(move || {
             TraceEvent::instant(TrackId::Scheduler, job.arrival, "arrive")
                 .with_job(job.id)
                 .with_arg(job.app as u64)
@@ -727,13 +941,20 @@ impl<'a> Engine<'a> {
             .is_some_and(|bound| self.fpga_queue.len() >= bound.get())
         {
             self.ledger.rejected[job.app] += 1;
-            self.emit(|| {
+            self.emit(move || {
                 TraceEvent::instant(TrackId::Scheduler, job.arrival, "reject").with_job(job.id)
             });
         } else {
-            self.emit(|| TraceEvent::job_begin(job.arrival, job.id));
+            self.emit(move || TraceEvent::job_begin(job.arrival, job.id));
             if let Some(reap) = self.faults.job_deadline(job.arrival) {
-                self.schedule(reap, Completion::Deadline { job_id: job.id });
+                let seq = self.stamp(reap, Next::Deadline);
+                debug_assert!(
+                    self.deadlines
+                        .back()
+                        .is_none_or(|&(t, s, _)| (t, s) <= (reap, seq)),
+                    "deadline keys must not decrease"
+                );
+                self.deadlines.push_back((reap, seq, job.id));
             }
             self.fpga_queue.push(job);
             self.dispatch_fpga(job.arrival);
@@ -746,7 +967,7 @@ impl<'a> Engine<'a> {
         let profiles = self.profiles;
         let policy = self.policy.name();
         let config = self.config;
-        let cgc_slots = self.platform.datapath.cgcs.len();
+        let cgc_slots = self.slots.len();
         let faults = self.faults;
         let recovery = self.recovery;
         let (ledger, queue) = self.run_core(jobs);
@@ -760,159 +981,63 @@ impl<'a> Engine<'a> {
     /// sharded runner folds one `(Ledger, QueueStats)` pair per shard
     /// before building the merged report.
     ///
-    /// The lazy merge gives arrivals priority on time ties, reproducing
-    /// the historical heap order in which every arrival carried a
-    /// smaller sequence number than any completion.
-    pub(crate) fn run_core<I: Iterator<Item = Job>>(mut self, mut jobs: I) -> (Ledger, QueueStats) {
-        let mut pending = jobs.next();
+    /// Each arrival waits only for the events strictly before it, so
+    /// arrivals win time ties, reproducing the historical heap order in
+    /// which every arrival carried a smaller sequence number than any
+    /// completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if arrivals regress, an `app` index is out of range, or
+    /// coarse-grain work meets a platform with no CGCs.
+    pub(crate) fn run_core<I: Iterator<Item = Job>>(mut self, jobs: I) -> (Ledger, QueueStats) {
         let mut last_arrival = 0u64;
-        loop {
-            let arrival_is_next = match (pending.as_ref(), self.events.peek_key()) {
-                (Some(job), Some((t, _))) => job.arrival <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if arrival_is_next {
-                let job = pending.take().unwrap();
-                assert!(
-                    job.arrival >= last_arrival,
-                    "job arrivals must be non-decreasing (job {} arrives at {} after {})",
-                    job.id,
-                    job.arrival,
-                    last_arrival
-                );
-                last_arrival = job.arrival;
-                pending = jobs.next();
-                self.arrive(job);
-            } else {
-                let (now, _, completion) = self.events.pop().unwrap();
-                match completion {
-                    Completion::Fpga { attempt } => {
-                        let job = self.fabric_job();
-                        self.fabric = None;
-                        let faulted = attempt > 0;
-                        if job.coarse_cycles > 0 {
-                            let task = CgcTask {
-                                job,
-                                cycles: job.coarse_cycles,
-                                attempt: 0,
-                                degraded: false,
-                                faulted,
-                            };
-                            self.submit_cgc(task, now);
-                        } else {
-                            self.ledger.complete(&job, now, faulted);
-                            self.emit(|| {
-                                TraceEvent::instant(TrackId::Scheduler, now, "complete")
-                                    .with_job(job.id)
-                            });
-                            self.emit(|| TraceEvent::job_end(now, job.id));
-                        }
-                        self.dispatch_fpga(now);
-                    }
-                    Completion::Cgc { slot } => {
-                        let task = self.take_task(slot);
-                        self.release_slot(slot);
-                        if task.degraded {
-                            self.ledger.degraded += 1;
-                        }
-                        self.ledger
-                            .complete(&task.job, now, task.faulted || task.attempt > 0);
-                        self.emit(|| {
-                            TraceEvent::instant(TrackId::Scheduler, now, "complete")
-                                .with_job(task.job.id)
-                        });
-                        self.emit(|| TraceEvent::job_end(now, task.job.id));
-                        self.dispatch_cgc(now);
-                    }
-                    Completion::LoadFault { attempt } | Completion::FabricFault { attempt } => {
-                        self.recover_fabric(attempt, now);
-                    }
-                    Completion::FabricRetry { attempt } => {
-                        self.start_fabric_attempt(self.fabric_job(), attempt, now);
-                    }
-                    Completion::SlotFault { slot } => {
-                        let task = self.take_task(slot);
-                        // The slot stays out of the pool until repair.
-                        // Saturating: a repair window near `u64::MAX`
-                        // pins the slot down for the rest of the run
-                        // instead of overflowing the clock or the
-                        // downtime counter.
-                        self.ledger.slot_downtime_cycles = self
-                            .ledger
-                            .slot_downtime_cycles
-                            .saturating_add(self.faults.repair_cycles);
-                        self.emit(|| {
-                            TraceEvent::span(
-                                TrackId::CgcSlot(slot),
-                                now,
-                                self.faults.repair_cycles,
-                                "down",
-                            )
-                        });
-                        self.schedule(
-                            now.saturating_add(self.faults.repair_cycles),
-                            Completion::SlotRepair { slot },
-                        );
-                        if task.attempt < self.recovery.max_retries {
-                            self.ledger.retries += 1;
-                            self.emit(|| {
-                                TraceEvent::instant(TrackId::Scheduler, now, "retry")
-                                    .with_job(task.job.id)
-                                    .with_arg((task.attempt + 1) as u64)
-                            });
-                            let retry = CgcTask {
-                                attempt: task.attempt + 1,
-                                faulted: true,
-                                ..task
-                            };
-                            self.submit_cgc(retry, now);
-                        } else if self.recovery.degrade {
-                            // Same pricing, but on the fault-immune
-                            // fallback path: the reliable slow lane.
-                            self.emit(|| {
-                                TraceEvent::instant(TrackId::Scheduler, now, "degrade")
-                                    .with_job(task.job.id)
-                            });
-                            let fallback = CgcTask {
-                                degraded: true,
-                                faulted: true,
-                                ..task
-                            };
-                            self.submit_cgc(fallback, now);
-                        } else {
-                            self.ledger.aborted += 1;
-                            self.emit(|| {
-                                TraceEvent::instant(TrackId::Scheduler, now, "abort")
-                                    .with_job(task.job.id)
-                            });
-                            self.emit(|| TraceEvent::job_end(now, task.job.id));
-                        }
-                    }
-                    Completion::SlotRepair { slot } => {
-                        self.release_slot(slot);
-                        self.emit(|| TraceEvent::instant(TrackId::CgcSlot(slot), now, "repair"));
-                        self.dispatch_cgc(now);
-                    }
-                    Completion::Deadline { job_id } => {
-                        // Only still-queued jobs are reaped; a dispatched
-                        // job is committed and runs to completion.
-                        if let Some(pos) = self.fpga_queue.iter().position(|j| j.id == job_id) {
-                            self.fpga_queue.swap_remove(pos);
-                            self.ledger.deadline_misses += 1;
-                            self.emit(|| {
-                                TraceEvent::instant(TrackId::Scheduler, now, "deadline")
-                                    .with_job(job_id)
-                            });
-                            self.emit(|| TraceEvent::job_end(now, job_id));
-                        }
-                    }
-                }
+        for job in jobs {
+            assert!(
+                job.arrival >= last_arrival,
+                "job arrivals must be non-decreasing (job {} arrives at {} after {})",
+                job.id,
+                job.arrival,
+                last_arrival
+            );
+            assert!(
+                job.app < self.profiles.len(),
+                "job {} references app {} but only {} profiles given",
+                job.id,
+                job.app,
+                self.profiles.len()
+            );
+            assert!(
+                job.coarse_cycles == 0 || !self.slots.is_empty(),
+                "coarse-grain work needs at least one CGC"
+            );
+            last_arrival = job.arrival;
+            while let Some((now, _, at)) = self.next.filter(|&(t, _, _)| t < job.arrival) {
+                self.fire(now, at);
             }
+            self.arrive(job);
         }
-        let queue = self.events.stats();
+        while let Some((now, _, at)) = self.next {
+            self.fire(now, at);
+        }
+        let queue = QueueStats {
+            events: self.next_seq,
+            rehashes: 0,
+            peak_occupancy: self.peak as u64,
+        };
         (self.ledger, queue)
+    }
+
+    /// Fire the next event, which waits at `at`, then find the one after
+    /// it.
+    fn fire(&mut self, now: u64, at: Next) {
+        self.pending -= 1;
+        match at {
+            Next::Fabric => self.fabric_event(now),
+            Next::Slot(slot) => self.slot_event(slot, now),
+            Next::Deadline => self.deadline_event(now),
+        }
+        self.next = self.next_event();
     }
 }
 
@@ -1118,19 +1243,6 @@ impl<'a> Simulation<'a> {
     /// or if the platform has no CGCs while a job carries coarse-grain
     /// work.
     pub fn run(&self, jobs: &[Job]) -> RuntimeReport {
-        for job in jobs {
-            assert!(
-                job.app < self.profiles.len(),
-                "job {} references app {} but only {} profiles given",
-                job.id,
-                job.app,
-                self.profiles.len()
-            );
-            assert!(
-                job.coarse_cycles == 0 || !self.platform.datapath.cgcs.is_empty(),
-                "coarse-grain work needs at least one CGC"
-            );
-        }
         let source = self.sketch.resolve(jobs.len());
         if jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival) {
             self.dispatch(jobs.iter().copied(), source)
@@ -1169,24 +1281,7 @@ impl<'a> Simulation<'a> {
         I: ExactSizeIterator<Item = Job>,
     {
         let source = self.sketch.resolve(jobs.len());
-        let platform_has_cgc = !self.platform.datapath.cgcs.is_empty();
-        let nprofiles = self.profiles.len();
-        self.dispatch(
-            jobs.inspect(move |job| {
-                assert!(
-                    job.app < nprofiles,
-                    "job {} references app {} but only {} profiles given",
-                    job.id,
-                    job.app,
-                    nprofiles
-                );
-                assert!(
-                    job.coarse_cycles == 0 || platform_has_cgc,
-                    "coarse-grain work needs at least one CGC"
-                );
-            }),
-            source,
-        )
+        self.dispatch(jobs, source)
     }
 
     /// Generate `spec`'s seeded job stream against the profiles and play
@@ -1204,10 +1299,12 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// The retained `BinaryHeap` event core, kept verbatim as the
-/// differential-testing oracle: every event (arrivals included) enters
-/// one heap ordered by `(time, seq)`. Accounting goes through the same
-/// [`Ledger`], so a report mismatch can only come from the event core.
+/// The retained `BinaryHeap` event core, kept as the differential-testing
+/// oracle: every event (arrivals included) enters one heap ordered by
+/// `(time, seq)`. Accounting goes through the same [`Ledger`], so a
+/// report mismatch can only come from the event core. It counts its
+/// completions as the engine counts events, so whole reports compare,
+/// [`QueueStats`] included.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -1237,10 +1334,20 @@ mod oracle {
         cgc_queue: VecDeque<Job>,
         free_slots: usize,
         ledger: Ledger,
+        /// Completions pushed, and pending after each push (arrivals,
+        /// which the engine never schedules, are not counted).
+        completions: u64,
+        completions_pending: u64,
+        peak_completions: u64,
     }
 
     impl HeapState<'_> {
         fn push(&mut self, time: u64, kind: EventKind) {
+            if !matches!(kind, EventKind::Arrival(_)) {
+                self.completions += 1;
+                self.completions_pending += 1;
+                self.peak_completions = self.peak_completions.max(self.completions_pending);
+            }
             self.heap.push(Reverse((time, self.next_seq, kind)));
             self.next_seq += 1;
         }
@@ -1289,6 +1396,9 @@ mod oracle {
 
         fn run(mut self) -> RuntimeReport {
             while let Some(Reverse((now, _, kind))) = self.heap.pop() {
+                if !matches!(kind, EventKind::Arrival(_)) {
+                    self.completions_pending -= 1;
+                }
                 match kind {
                     EventKind::Arrival(job_idx) => {
                         let job = self.jobs[job_idx];
@@ -1325,14 +1435,20 @@ mod oracle {
             // covered by explicit replay tests and the trace pins, and a
             // zero-rate engine run must match this fault-free core bit
             // for bit.
-            self.ledger.into_report(
+            let mut report = self.ledger.into_report(
                 self.profiles,
                 self.policy.name(),
                 self.config,
                 self.platform.datapath.cgcs.len(),
                 FaultSpec::none(),
                 RecoveryPolicy::default(),
-            )
+            );
+            report.queue = QueueStats {
+                events: self.completions,
+                rehashes: 0,
+                peak_occupancy: self.peak_completions,
+            };
+            report
         }
     }
 
@@ -1359,6 +1475,9 @@ mod oracle {
             cgc_queue: VecDeque::new(),
             free_slots: platform.datapath.cgcs.len(),
             ledger: Ledger::new(profiles.len(), sketch.resolve(jobs.len())),
+            completions: 0,
+            completions_pending: 0,
+            peak_completions: 0,
         };
         for (idx, job) in jobs.iter().enumerate() {
             state.push(job.arrival, EventKind::Arrival(idx));
@@ -1536,6 +1655,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "job 0 references app 1 but only 1 profiles given")]
+    fn streamed_jobs_of_unknown_apps_are_rejected() {
+        let p = vec![profile("a", 10, 0, vec![5])];
+        let mut stray = job(0, 0, 0, 10, 0, &p[0].config);
+        stray.app = 1;
+        sim(&p, &platform()).run_streaming(std::iter::once(stray));
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 references app 1 but only 1 profiles given")]
+    fn sharded_jobs_of_unknown_apps_are_rejected() {
+        let p = vec![profile("a", 10, 0, vec![5])];
+        let mut stray = job(0, 0, 0, 10, 0, &p[0].config);
+        stray.app = 1;
+        sim(&p, &platform()).shards(2).run(&[stray]);
+    }
+
+    #[test]
     fn unsorted_job_slices_replay_in_heap_order() {
         // The heap processed arrivals by (time, index) no matter the
         // slice order; the streaming engine must match.
@@ -1551,7 +1688,7 @@ mod tests {
             job(3, 1, 700, 80, 20, &p[1].config),
         ];
         let streamed = sim(&p, &pf).run(&jobs);
-        let mut expect = oracle::run_heap(
+        let expect = oracle::run_heap(
             &p,
             &jobs,
             &pf,
@@ -1559,14 +1696,11 @@ mod tests {
             SimConfig::default(),
             SketchMode::Auto,
         );
-        // The oracle keeps no queue statistics, so its `queue` block is
-        // zeroed; adopt the engine's before the bit-for-bit compare.
-        expect.queue = streamed.queue;
         assert_eq!(streamed, expect);
         // Equal-arrival ties keep slice order even after the swap.
         jobs.swap(1, 2);
         let swapped = sim(&p, &pf).run(&jobs);
-        let mut expect = oracle::run_heap(
+        let expect = oracle::run_heap(
             &p,
             &jobs,
             &pf,
@@ -1574,13 +1708,13 @@ mod tests {
             SimConfig::default(),
             SketchMode::Auto,
         );
-        expect.queue = swapped.queue;
         assert_eq!(swapped, expect);
     }
 
-    /// The engine is bit-identical (full `RuntimeReport`) to the
-    /// retained all-events heap oracle across seeds × all four policies
-    /// × `SimConfig` variants × sketch modes.
+    /// The engine is bit-identical (full `RuntimeReport`, event counts
+    /// and peak occupancy included) to the retained all-events heap
+    /// oracle across seeds × all four policies × `SimConfig` variants ×
+    /// sketch modes.
     #[test]
     fn engine_matches_heap_oracle_bit_for_bit() {
         let profiles = vec![
@@ -1627,10 +1761,7 @@ mod tests {
                             .config(*config)
                             .sketch_mode(mode)
                             .run(&jobs);
-                        let mut heap =
-                            oracle::run_heap(&profiles, &jobs, &pf, policy, *config, mode);
-                        // The oracle keeps no queue statistics.
-                        heap.queue = engine.queue;
+                        let heap = oracle::run_heap(&profiles, &jobs, &pf, policy, *config, mode);
                         assert_eq!(
                             engine,
                             heap,

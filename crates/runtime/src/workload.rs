@@ -202,6 +202,10 @@ pub struct JobStream<'a> {
 impl Iterator for JobStream<'_> {
     type Item = Job;
 
+    // Inlined into the engine's arrival loop: a job returned through
+    // memory is copied right after its fields are stored, and that copy
+    // stalls on store forwarding once per job.
+    #[inline(always)]
     fn next(&mut self) -> Option<Job> {
         if self.remaining == 0 {
             return None;

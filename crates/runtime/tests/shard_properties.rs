@@ -144,8 +144,8 @@ proptest! {
 
     /// The threaded run is exactly the shard-order fold of `k`
     /// independent single-threaded runs over the shard subsequences:
-    /// counters add, makespan maxes, calendar statistics fold
-    /// element-wise, and each app's statistics are those of the one
+    /// counters add, makespan maxes, event counts add and peak
+    /// occupancy maxes, and each app's statistics are those of the one
     /// shard that simulated it.
     #[test]
     fn sharded_merge_equals_the_shard_order_fold(
