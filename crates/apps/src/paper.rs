@@ -12,10 +12,9 @@
 //!    and applications.
 
 use amdrel_cdfg::{BasicBlock, BlockId, Cdfg, Dfg, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// One row of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table1Row {
     /// Basic-block number as printed in the paper.
     pub bb: u32,

@@ -29,7 +29,7 @@ fn baseline_stream(profiles: &[AppProfile]) -> Vec<Job> {
 }
 
 /// Extract `"key": <integer>` from a JSON fragment without a JSON
-/// parser (no serde in the offline vendor set).
+/// parser (the workspace has no JSON parsing dependency).
 fn json_u64(fragment: &str, key: &str) -> u64 {
     let needle = format!("\"{key}\": ");
     let start = fragment

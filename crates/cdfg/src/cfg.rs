@@ -2,13 +2,10 @@
 
 use crate::dfg::Dfg;
 use crate::GraphError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a basic block inside one [`Cdfg`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -31,7 +28,7 @@ impl fmt::Display for BlockId {
 /// from / produces into the shared data memory per execution. The frontend
 /// fills them from its liveness analysis; they drive `t_comm` in eq. (2) of
 /// the paper when the block is moved to the coarse-grain hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
     /// Human-readable label (`f.bb3` style).
     pub label: String,
@@ -82,7 +79,7 @@ impl BasicBlock {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdfg {
     name: String,
     blocks: Vec<BasicBlock>,

@@ -2,7 +2,6 @@
 
 use crate::op::{OpClass, OpKind};
 use crate::GraphError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -10,9 +9,7 @@ use std::fmt;
 ///
 /// Node ids are dense (`0..dfg.len()`), assigned in insertion order, and are
 /// only meaningful within the graph that issued them.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -35,7 +32,7 @@ impl From<NodeId> for usize {
 }
 
 /// One operation node of a [`Dfg`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DfgNode {
     /// The operation performed by this node.
     pub kind: OpKind,
@@ -93,7 +90,7 @@ impl DfgNode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dfg {
     name: String,
     nodes: Vec<DfgNode>,

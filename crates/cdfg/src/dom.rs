@@ -7,10 +7,9 @@
 //! is what turns raw control edges into kernel candidacy.
 
 use crate::cfg::{BlockId, Cdfg};
-use serde::{Deserialize, Serialize};
 
 /// The dominator tree of a [`Cdfg`] (reachable blocks only).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dominators {
     /// Immediate dominator per block; `None` for the entry block and for
     /// unreachable blocks.

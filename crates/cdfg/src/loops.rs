@@ -8,10 +8,9 @@
 
 use crate::cfg::{BlockId, Cdfg};
 use crate::dom::Dominators;
-use serde::{Deserialize, Serialize};
 
 /// One natural loop: its header and member blocks (header included).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// The loop header (target of the back edge; dominates every member).
     pub header: BlockId,
@@ -39,7 +38,7 @@ impl NaturalLoop {
 
 /// The loop structure of a [`Cdfg`]: all natural loops plus per-block
 /// nesting depth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopInfo {
     loops: Vec<NaturalLoop>,
     depth: Vec<u32>,

@@ -6,7 +6,6 @@
 //! area and latency models in the downstream crates can all be keyed off one
 //! classification.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse cost class of an operation.
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert_eq!(OpKind::Mul.class(), OpClass::Mul);
 /// assert_eq!(OpKind::Load.class(), OpClass::Mem);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// Word-level ALU operation: add/sub, logic, shifts, comparisons, select.
     Alu,
@@ -60,7 +59,7 @@ impl fmt::Display for OpClass {
 /// what the mini-C frontend can produce: integer arithmetic, bitwise logic,
 /// shifts, comparisons, a select (the data side of a conditional), array
 /// loads/stores and the three boundary pseudo-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// Integer addition.
     Add,

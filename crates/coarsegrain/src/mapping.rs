@@ -10,10 +10,9 @@ use crate::datapath::CgcDatapath;
 use crate::scheduler::{schedule_dfg, Schedule, SchedulerConfig};
 use crate::CoarseGrainError;
 use amdrel_cdfg::Cdfg;
-use serde::{Deserialize, Serialize};
 
 /// The coarse-grain mapping of one basic block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoarseGrainMapping {
     /// The schedule (placements per node).
     pub schedule: Schedule,
@@ -44,7 +43,7 @@ pub fn map_dfg(
 }
 
 /// Coarse-grain mappings for every block of a CDFG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CdfgCoarseGrainMapping {
     /// Per-block mappings, indexed by block id.
     pub blocks: Vec<CoarseGrainMapping>,

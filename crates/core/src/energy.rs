@@ -18,10 +18,9 @@ use crate::CoreError;
 use amdrel_cdfg::{Cdfg, OpClass};
 use amdrel_finegrain::CdfgFineGrainMapping;
 use amdrel_profiler::AnalysisReport;
-use serde::{Deserialize, Serialize};
 
 /// Energy per operation class, in abstract energy units (pJ-scale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpEnergyTable {
     /// ALU-class operation.
     pub alu: u64,
@@ -47,7 +46,7 @@ impl OpEnergyTable {
 }
 
 /// The platform's energy characterisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnergyModel {
     /// Per-op energy on the fine-grain (FPGA) fabric.
     pub fpga: OpEnergyTable,
@@ -90,7 +89,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy decomposition of one application run under a given assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnergyBreakdown {
     /// Dynamic energy of operations executed on the FPGA.
     pub e_fpga_ops: u64,
@@ -119,7 +118,7 @@ impl EnergyBreakdown {
 /// O(1) delta ([`Self::move_to_coarse`]). Design-space explorers use the
 /// deltas to walk every kernel-budget prefix of a move trace without
 /// rescanning the CDFG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockEnergyCosts {
     /// Dynamic operation energy on the FPGA (`freq × Σ fpga op-energy`).
     pub fpga_ops: Vec<u64>,
@@ -250,7 +249,7 @@ pub fn energy_of_assignment(
 }
 
 /// One step of the energy engine's trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnergyMove {
     /// The kernel moved.
     pub kernel: amdrel_cdfg::BlockId,
@@ -259,7 +258,7 @@ pub struct EnergyMove {
 }
 
 /// Outcome of energy-constrained partitioning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyResult {
     /// The energy budget.
     pub budget: u64,

@@ -24,13 +24,12 @@ use crate::CoreError;
 use amdrel_cdfg::Cdfg;
 use amdrel_coarsegrain::CgcDatapath;
 use amdrel_profiler::AnalysisReport;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// One cell of the experiment grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
     /// `A_FPGA` of this configuration.
     pub area: u64,
@@ -41,7 +40,7 @@ pub struct GridCell {
 }
 
 /// A full experiment grid (one application, one constraint).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentGrid {
     /// Application name.
     pub app: String,

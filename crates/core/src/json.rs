@@ -1,8 +1,7 @@
 //! Hand-rolled machine-readable JSON rendering, shared by every `--json`
 //! output in the workspace.
 //!
-//! The vendored `serde` stand-in provides derives only (no runtime
-//! serialisation — see `vendor/README.md`), so `amdrel sweep --json`,
+//! The workspace has no serialisation dependency, so `amdrel sweep --json`,
 //! `amdrel explore --json` and `amdrel simulate --json` all render
 //! through this one module instead of growing per-crate copies. Output
 //! is deterministic: fixed key order, `\u` escapes for control

@@ -15,10 +15,9 @@
 //! *k* occupies the coarse-grain datapath.
 
 use crate::engine::Breakdown;
-use serde::{Deserialize, Serialize};
 
 /// Which pipeline stage limits throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// The fine-grain (FPGA) stage.
     FineGrain,
@@ -28,7 +27,7 @@ pub enum Stage {
 
 /// Throughput analysis of the partitioned application under two-stage
 /// frame pipelining.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineReport {
     /// Frames analysed.
     pub frames: u64,

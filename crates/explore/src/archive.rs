@@ -16,10 +16,9 @@
 //! operation for after the search, not an insertion-time cap.)
 
 use crate::eval::PointEval;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one [`ParetoArchive::insert`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Insert {
     /// The candidate joined the frontier (possibly evicting members it
     /// dominates, or replacing an objective-identical member with a
@@ -69,7 +68,7 @@ pub enum Insert {
 ///         && !w[1].objectives.dominates(&w[0].objectives)
 /// }));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParetoArchive {
     /// Sorted by `(objectives, point)`.
     entries: Vec<PointEval>,

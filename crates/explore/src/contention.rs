@@ -25,11 +25,10 @@ use amdrel_runtime::{
     WorkloadSpec,
 };
 use amdrel_trace::TraceSink;
-use serde::{Deserialize, Serialize};
 
 /// The contention outcome of simulating the workload mix on one
 /// candidate platform (all integers, so frontiers stay bit-comparable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContentionMetrics {
     /// Aggregate 95th-percentile completion latency, FPGA cycles.
     pub p95_latency: u64,

@@ -8,7 +8,6 @@
 //! coordinate system and a total order for deterministic tie-breaking.
 
 use amdrel_coarsegrain::CgcDatapath;
-use serde::{Deserialize, Serialize};
 
 /// Indices of one design point: positions along the three axes of a
 /// [`DesignSpace`].
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// is the archive's deterministic tie-break for points with identical
 /// objectives, so frontiers are reproducible regardless of evaluation
 /// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PointIdx {
     /// Index into [`DesignSpace::areas`].
     pub area: usize,
@@ -49,7 +48,7 @@ pub struct PointIdx {
 /// assert_eq!((p.area, p.datapath, p.budget), (1, 1, 3));
 /// assert_eq!(space.flat(p), space.len() - 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// `A_FPGA` candidates. (The fine-grain mapper refuses devices below
     /// ~1030 area units — the 32-bit multiplier no longer fits — so

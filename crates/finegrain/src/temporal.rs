@@ -16,10 +16,9 @@
 use crate::device::FpgaDevice;
 use crate::FineGrainError;
 use amdrel_cdfg::{asap_levels, Dfg, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// One temporal partition: the nodes configured on the device together.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalPartition {
     /// 1-based partition number (`partition(ui) = i` in Figure 3).
     pub index: u32,
@@ -32,7 +31,7 @@ pub struct TemporalPartition {
 }
 
 /// The output of the Figure 3 algorithm over one DFG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalPartitioning {
     partitions: Vec<TemporalPartition>,
     assignment: Vec<u32>,

@@ -1,7 +1,6 @@
 //! Abstract syntax tree for mini-C.
 
 use crate::token::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Integer width classes of mini-C (`char`/`short`/`int`/`long`).
@@ -9,7 +8,7 @@ use std::fmt;
 /// Widths only influence the hardware cost models (area/weight per
 /// bitwidth); interpretation is performed in full `i64` like a typical
 /// 2000s DSP C compiler targeting 32-bit semantics with widening.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IntWidth {
     /// 8-bit (`char`).
     W8,
@@ -40,7 +39,7 @@ impl fmt::Display for IntWidth {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -115,7 +114,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation `-`.
     Neg,
@@ -136,7 +135,7 @@ impl fmt::Display for UnOp {
 }
 
 /// An expression node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     IntLit {
@@ -231,7 +230,7 @@ impl Expr {
 }
 
 /// An assignment target: a scalar variable or an array element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// Scalar variable.
     Var {
@@ -261,7 +260,7 @@ impl LValue {
 }
 
 /// A statement node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Scalar declaration `int x = init;` (init optional).
     Decl {
@@ -371,7 +370,7 @@ pub enum Stmt {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDef {
     /// Function name.
     pub name: String,
@@ -386,7 +385,7 @@ pub struct FunctionDef {
 }
 
 /// A global array definition with optional initialiser list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalArrayDef {
     /// Element width.
     pub width: IntWidth,
@@ -402,7 +401,7 @@ pub struct GlobalArrayDef {
 }
 
 /// A whole translation unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Global arrays, in declaration order.
     pub globals: Vec<GlobalArrayDef>,

@@ -10,14 +10,11 @@
 //! same source the partitioner reads.
 
 use crate::ast::{BinOp, UnOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a scalar variable (parameter, named local, or compiler temp)
 /// within a [`Function`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -34,9 +31,7 @@ impl fmt::Display for VarId {
 }
 
 /// Index of a basic block within a [`Function`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockIdx(pub u32);
 
 impl BlockIdx {
@@ -53,7 +48,7 @@ impl fmt::Display for BlockIdx {
 }
 
 /// Reference to an array: program-global or function-local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayRef {
     /// Index into [`IrProgram::globals`].
     Global(u32),
@@ -71,7 +66,7 @@ impl fmt::Display for ArrayRef {
 }
 
 /// An instruction operand: a scalar variable or an immediate constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Read of a scalar variable.
     Var(VarId),
@@ -89,7 +84,7 @@ impl fmt::Display for Operand {
 }
 
 /// One three-address instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// `dst = lhs op rhs`.
     Bin {
@@ -155,7 +150,7 @@ impl fmt::Display for Instr {
 }
 
 /// How control leaves a basic block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockIdx),
@@ -191,7 +186,7 @@ impl fmt::Display for Terminator {
 }
 
 /// One basic block of straight-line instructions plus a terminator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Human-readable label.
     pub label: String,
@@ -221,7 +216,7 @@ impl Block {
 }
 
 /// Metadata for one scalar variable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarInfo {
     /// Source name, or a generated `%tN` name for compiler temps.
     pub name: String,
@@ -232,7 +227,7 @@ pub struct VarInfo {
 }
 
 /// Metadata for one local array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalArray {
     /// Source name.
     pub name: String,
@@ -243,7 +238,7 @@ pub struct LocalArray {
 }
 
 /// A lowered function (after inlining there is exactly one per program).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -290,7 +285,7 @@ impl Function {
 }
 
 /// Metadata for one global array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalArray {
     /// Source name.
     pub name: String,
@@ -305,7 +300,7 @@ pub struct GlobalArray {
 
 /// A whole lowered program: global arrays plus the single inlined entry
 /// function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IrProgram {
     /// Global arrays.
     pub globals: Vec<GlobalArray>,

@@ -1,11 +1,10 @@
 //! Tokens and source positions for the mini-C language.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range into the source, with 1-based line/column of the
 /// start for diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,
@@ -51,7 +50,7 @@ impl fmt::Display for Span {
 }
 
 /// Reserved words of mini-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keyword {
     /// `int` — 32-bit integer.
     Int,
@@ -123,7 +122,7 @@ impl Keyword {
 }
 
 /// One lexical token.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     /// A reserved word.
     Keyword(Keyword),
@@ -270,7 +269,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     /// What was lexed.
     pub kind: TokenKind,

@@ -5,11 +5,10 @@
 
 use crate::weights::{bb_weight, WeightTable};
 use amdrel_cdfg::{BlockId, Cdfg, LoopInfo};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Analysis results for one basic block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockProfile {
     /// The block.
     pub block: BlockId,
@@ -27,7 +26,7 @@ pub struct BlockProfile {
 
 /// Output of the analysis step: per-block profiles plus the kernel
 /// ordering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisReport {
     blocks: Vec<BlockProfile>,
     kernels: Vec<BlockId>,

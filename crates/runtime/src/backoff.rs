@@ -9,8 +9,6 @@
 //! networking / distributed subsystems, where jittered backoff would be
 //! layered on top from a seeded stream rather than baked in here.
 
-use serde::{Deserialize, Serialize};
-
 /// A capped exponential backoff schedule: attempt `k` waits
 /// `min(base_cycles << k, cap_cycles)` cycles (saturating, never
 /// overflowing).
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.delay(2), 350); // capped (400 -> 350)
 /// assert_eq!(b.delay(63), 350);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BackoffSchedule {
     /// Delay of the first retry (attempt 0), cycles.
     pub base_cycles: u64,

@@ -8,7 +8,6 @@ use crate::sim::SimConfig;
 use crate::sketch::{LatencySketch, LatencySource};
 use amdrel_core::json::escape;
 use amdrel_core::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Nearest-rank percentile of a latency sample (`q` in percent).
@@ -23,7 +22,7 @@ fn percentile(sorted: &[u64], q: u64) -> u64 {
 }
 
 /// Per-application outcome counters and latency percentiles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppStats {
     /// Application name.
     pub name: String,
@@ -90,7 +89,7 @@ impl AppStats {
 /// Reliability accounting for one run: what the fault layer injected
 /// and what the recovery policy did about it. All-zero (the `Default`)
 /// on a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ReliabilityStats {
     /// Total faults injected (`load_failures + fabric_kills +
     /// slot_outages`).
@@ -132,7 +131,7 @@ pub struct ReliabilityStats {
 ///
 /// All fields derive purely from the deterministic event stream, so
 /// two runs of one scenario snapshot identical stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Events scheduled over the run.
     pub events: u64,
@@ -147,7 +146,7 @@ pub struct QueueStats {
 
 /// The complete outcome of one simulation run. All fields are integers
 /// or strings, so two runs over identical inputs compare bit-equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeReport {
     /// The scheduling policy's name.
     pub policy: String,

@@ -77,12 +77,11 @@ use crate::sketch::{LatencySketch, LatencySource, SketchMode};
 use crate::workload::{Job, WorkloadSpec};
 use amdrel_core::Platform;
 use amdrel_trace::{TraceEvent, TraceSink, TrackId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 
 /// Runtime knobs orthogonal to the scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// When `true` (default), a job whose configuration is already
     /// loaded re-enters the fabric with no reconfiguration charge. When

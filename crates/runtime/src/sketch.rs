@@ -21,8 +21,6 @@
 //! committed 400-job `BENCH_runtime.json` baselines — reproduce the
 //! historical nearest-rank percentiles byte-for-byte.
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-bucket precision: each power-of-two magnitude is split into
 /// `2^SUB_BITS` linear buckets, bounding the relative quantile error at
 /// `2^-SUB_BITS` (1/128 < 0.8%).
@@ -35,7 +33,7 @@ pub const EXACT_THRESHOLD: usize = 4096;
 
 /// How a [`Simulation`](crate::Simulation) aggregates completion
 /// latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SketchMode {
     /// Exact below [`EXACT_THRESHOLD`] total jobs, sketched at or above
     /// it (the default: small runs stay byte-identical to the historical
@@ -73,7 +71,7 @@ impl SketchMode {
 /// Provenance of a report's latency percentiles (recorded in the
 /// `amdrel-simulate/v2` JSON so consumers know whether percentiles are
 /// exact nearest-rank values or sketch upper bounds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencySource {
     /// Percentiles are exact nearest-rank values of the full sample.
     Exact,

@@ -10,10 +10,9 @@
 
 use crate::profile::{AppProfile, ConfigId};
 use amdrel_core::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// One application's share of the mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppShare {
     /// Index into the profile slice passed to [`WorkloadSpec::generate`].
     pub app: usize,
@@ -22,7 +21,7 @@ pub struct AppShare {
 }
 
 /// A generated job instance, ready for the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Job {
     /// Arrival sequence number (0-based; the event tie-breaker).
     pub id: u64,
@@ -70,7 +69,7 @@ impl Job {
 /// let longer = WorkloadSpec { jobs: 128, ..spec.clone() }.generate(&profiles);
 /// assert_eq!(jobs[..], longer[..64]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadSpec {
     /// Master seed; every derived stream forks from it.
     pub seed: u64,

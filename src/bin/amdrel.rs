@@ -1,34 +1,8 @@
 //! `amdrel` — command-line driver for the partitioning methodology.
 //!
-//! ```text
-//! amdrel analyze   <src.c> [--input name=v,v,..]... [--top N]
-//! amdrel partition <src.c> --constraint N [--area A] [--cgcs K]
-//!                  [--input name=v,v,..]... [--skip-unprofitable]
-//! amdrel sweep     <src.c> --constraint N [--areas A,A,..] [--cgc-list K,K,..]
-//!                  [--jobs N] [--json] [--input name=v,v,..]...
-//! amdrel explore   <src.c> [--strategy exhaustive|random|sa] [--seed S]
-//!                  [--budget N] [--jobs N] [--json] [--constraint N]
-//!                  [--areas A,A,..] [--cgc-list K,K,..] [--max-kernels K]
-//!                  [--objectives cycles,area,energy,fragmentation,
-//!                                worst_region_load,p95,throughput,
-//!                                p95_under_faults,degraded_share]
-//!                  [--policy fcfs|sjf|priority|affinity] [--njobs N] [--load PCT]
-//!                  [--reconfig streamed|region|free]
-//!                  [--regions N | --region-shape RxC]
-//!                  [--fault-rate PERMILLE] [--fault-seed S] [--deadline CYCLES]
-//!                  [--max-retries N] [--degrade] [--input name=v,v,..]...
-//! amdrel simulate  [--app ofdm|jpeg|sobel]... [--policy fcfs|sjf|priority|affinity]
-//!                  [--seed S] [--njobs N] [--load PCT | --arrival CYCLES]
-//!                  [--queue-bound N] [--no-config-cache] [--prefetch]
-//!                  [--sketch auto|exact|sketched] [--area A] [--cgcs K]
-//!                  [--reconfig streamed|region|free]
-//!                  [--regions N | --region-shape RxC]
-//!                  [--fault-rate PERMILLE] [--fault-seed S] [--deadline CYCLES]
-//!                  [--max-retries N] [--degrade] [--shards K] [--json]
-//!                  [--trace FILE] [--trace-format chrome|text] [--profile]
-//! amdrel trace     [simulate flags] [--trace FILE] [--trace-format chrome|text]
-//! amdrel dot       <src.c> [--block N] [--input name=v,v,..]...
-//! ```
+//! `amdrel --help` lists every subcommand with its flags, and `amdrel
+//! <cmd> --help` prints one. A subcommand refuses any flag its usage
+//! does not name.
 //!
 //! Sources are mini-C (see the `amdrel-minic` crate docs for the accepted
 //! subset); `--input` binds global arrays before profiling. `simulate`
@@ -96,7 +70,9 @@
 //! deterministic shard-order merge. `--shards 1` is byte-identical to
 //! the classic single-threaded run; at `K >= 2` the tenants on
 //! different shards no longer contend, so the shard count is part of
-//! the simulated scenario, not a pure observer.
+//! the simulated scenario, not a pure observer. A `K` above the number
+//! of selected apps runs one shard per app: the other shards would
+//! hold no tenant.
 //!
 //! Exit status: `amdrel <cmd> --help` prints that subcommand's usage on
 //! stdout and exits 0; an unknown subcommand or malformed flags print
@@ -192,6 +168,37 @@ fn usage_for(cmd: &str) -> Option<&'static str> {
         .map(|(_, usage)| *usage)
 }
 
+/// Whether `command`'s usage text names `flag` as a whole word
+/// (`--area` does not match `--areas`).
+fn takes_flag(command: &str, flag: &str) -> bool {
+    if command == "trace" {
+        // `trace` prints the trace instead of the report, so it takes
+        // `simulate`'s flags except `--json`.
+        return flag != "--json" && takes_flag("simulate", flag);
+    }
+    let usage = usage_for(command).unwrap_or_default();
+    usage.match_indices(flag).any(|(at, _)| {
+        !usage[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+    })
+}
+
+/// The most CGCs a platform may have. The paper's platforms have 2 or
+/// 3, and every CGC is a simulator slot that each event scans: a
+/// 20,000-job `simulate` at 300% load takes about 100 ms with 2 CGCs,
+/// 165 ms with 1,024 and 1.4 s with 16,384 (2-vCPU host), and the
+/// largest counts cannot be allocated at all.
+const MAX_CGCS: usize = 1024;
+
+fn parse_cgc_count(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(k @ 1..=MAX_CGCS) => Ok(k),
+        Ok(k) => Err(format!(
+            "{flag} takes CGC counts in 1..={MAX_CGCS} (got {k})"
+        )),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(args) {
@@ -252,7 +259,7 @@ fn needs_source(command: &str) -> bool {
     !matches!(command, "simulate" | "trace")
 }
 
-fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> {
+fn parse_options(args: &[String], command: &str) -> Result<Options, String> {
     let mut opts = Options {
         source_path: String::new(),
         inputs: Vec::new(),
@@ -296,6 +303,12 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
     let mut it = args.iter().peekable();
     let mut positional = Vec::new();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--")
+            && !takes_flag(command, arg)
+            && SUBCOMMANDS.iter().any(|(cmd, _)| takes_flag(cmd, arg))
+        {
+            return Err(format!("{command} does not take {arg}"));
+        }
         let mut value_of = |name: &str| -> Result<String, String> {
             it.next()
                 .cloned()
@@ -330,14 +343,7 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                     .parse()
                     .map_err(|e| format!("--area: {e}"))?;
             }
-            "--cgcs" => {
-                opts.cgcs = value_of("--cgcs")?
-                    .parse()
-                    .map_err(|e| format!("--cgcs: {e}"))?;
-                if opts.cgcs == 0 {
-                    return Err("--cgcs must be a positive CGC count".to_owned());
-                }
-            }
+            "--cgcs" => opts.cgcs = parse_cgc_count("--cgcs", &value_of("--cgcs")?)?,
             "--areas" => {
                 opts.areas = value_of("--areas")?
                     .split(',')
@@ -347,11 +353,7 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
             "--cgc-list" => {
                 opts.cgc_list = value_of("--cgc-list")?
                     .split(',')
-                    .map(|s| match s.trim().parse::<usize>() {
-                        Ok(0) => Err("--cgc-list entries must be positive CGC counts".to_owned()),
-                        Ok(k) => Ok(k),
-                        Err(e) => Err(format!("--cgc-list: {e}")),
-                    })
+                    .map(|s| parse_cgc_count("--cgc-list", s.trim()))
                     .collect::<Result<Vec<_>, _>>()?;
             }
             "--top" => {
@@ -512,7 +514,7 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
             other => positional.push(other.to_owned()),
         }
     }
-    match (with_source, positional.len()) {
+    match (needs_source(command), positional.len()) {
         (true, 0) => Err("missing source file".to_owned()),
         (true, 1) => {
             opts.source_path = positional.into_iter().next().expect("len checked");
@@ -649,8 +651,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         println!("usage: {cmd_usage}");
         return Ok(());
     }
-    let opts = parse_options(rest, needs_source(command))
-        .map_err(|e| format!("{e}\nusage: {cmd_usage}"))?;
+    let opts = parse_options(rest, command).map_err(|e| format!("{e}\nusage: {cmd_usage}"))?;
     match command.as_str() {
         "analyze" => {
             let (program, analysis) = analyzed(&opts)?;
@@ -973,7 +974,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 .prefetch(opts.prefetch)
                 .queue_bound(std::num::NonZeroUsize::new(opts.queue_bound))
                 .sketch_mode(sketch)
-                .shards(opts.shards)
+                // Shards past the last app would hold no tenant.
+                .shards(opts.shards.min(selected.len()))
                 .faults(faults)
                 .recovery(recovery);
             if let Some(plan) = &plan {

@@ -239,18 +239,30 @@ fn malformed_flags_exit_nonzero_with_usage() {
     // deep in the library: exit status 1, an `error:` naming the value,
     // and the usage line.
     let src = src.to_str().unwrap();
-    let refused: [(&[&str], &str); 11] = [
+    let max = &u64::MAX.to_string();
+    let max_list = &format!("2,{max}");
+    let refused: [(&[&str], &str); 15] = [
         (
             &["explore", src, "--objectives", "cycles,p95", "--njobs", "0"],
             "--njobs",
         ),
         (&["simulate", "--cgcs", "0"], "--cgcs"),
+        (&["simulate", "--cgcs", "1025"], "--cgcs"),
+        (&["simulate", "--cgcs", max], "--cgcs"),
         (
             &["partition", src, "--constraint", "100", "--cgcs", "0"],
             "--cgcs",
         ),
         (
+            &["partition", src, "--constraint", "100", "--cgcs", max],
+            "--cgcs",
+        ),
+        (
             &["sweep", src, "--constraint", "100", "--cgc-list", "2,0"],
+            "--cgc-list",
+        ),
+        (
+            &["sweep", src, "--constraint", "100", "--cgc-list", max_list],
             "--cgc-list",
         ),
         (&["explore", src, "--cgc-list", "0"], "--cgc-list"),
@@ -327,6 +339,66 @@ fn malformed_flags_exit_nonzero_with_usage() {
         "1",
     ]);
     assert!(ok, "2 · (2^63 - 1) · 1 fits the cycle clock: {stderr}");
+    let (ok, _, stderr) = amdrel(&[
+        "simulate", "--app", "ofdm", "--njobs", "4", "--cgcs", "1024",
+    ]);
+    assert!(ok, "1024 CGCs is the largest accepted count: {stderr}");
+}
+
+#[test]
+fn subcommands_refuse_flags_their_usage_does_not_name() {
+    let src = write_source("fir_foreign_flag.c", FIR);
+    let src = src.to_str().unwrap();
+    let cases: [(&[&str], &str); 20] = [
+        (&["simulate", "--strategy", "bogus"], "--strategy"),
+        (&["simulate", "--objectives", "cycles"], "--objectives"),
+        (&["simulate", "--areas", "1500"], "--areas"),
+        (&["simulate", "--budget", "4"], "--budget"),
+        (&["simulate", "--constraint", "100"], "--constraint"),
+        (&["simulate", "--max-kernels", "2"], "--max-kernels"),
+        (&["simulate", "--top", "3"], "--top"),
+        (&["simulate", "--input", "x=1"], "--input"),
+        (&["explore", src, "--queue-bound", "1"], "--queue-bound"),
+        (&["explore", src, "--arrival", "100"], "--arrival"),
+        (&["explore", src, "--no-config-cache"], "--no-config-cache"),
+        (&["explore", src, "--prefetch"], "--prefetch"),
+        (&["explore", src, "--sketch", "exact"], "--sketch"),
+        (&["explore", src, "--shards", "2"], "--shards"),
+        (&["explore", src, "--area", "1500"], "--area"),
+        (&["explore", src, "--cgcs", "2"], "--cgcs"),
+        (&["explore", src, "--app", "ofdm"], "--app"),
+        (&["analyze", src, "--json"], "--json"),
+        (
+            &["trace", "--app", "ofdm", "--njobs", "4", "--json"],
+            "--json",
+        ),
+        (&["dot", src, "--top", "3"], "--top"),
+    ];
+    for (args, flag) in cases {
+        let (ok, stdout, stderr) = amdrel(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let cmd = args[0];
+        assert!(
+            stderr.contains(&format!("error: {cmd} does not take {flag}\n")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("usage: amdrel {cmd}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // A flag no subcommand takes keeps its own message, and a value that
+    // looks like a flag is still a value.
+    let (ok, _, stderr) = amdrel(&["simulate", "--json-pretty"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag '--json-pretty'"), "{stderr}");
+    let trace = std::env::temp_dir().join("amdrel-cli-tests").join("--json");
+    let trace = trace.to_str().unwrap();
+    let (ok, stdout, stderr) =
+        amdrel(&["trace", "--app", "ofdm", "--njobs", "4", "--trace", trace]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("trace: "), "{stdout}");
 }
 
 #[test]
@@ -1040,9 +1112,10 @@ fn bad_shard_counts_exit_nonzero_with_usage() {
 
 #[test]
 fn sharded_single_app_trace_is_byte_identical_to_unsharded() {
-    // With one app every job lands on shard 0, so any shard count must
-    // reproduce the unsharded chrome trace byte-for-byte — the empty
-    // shards contribute nothing and the merge restamps nothing.
+    // With one app the CLI runs one shard whatever `--shards` says, so
+    // this compares unsharded runs; the library's
+    // `single_app_workloads_are_shard_count_invariant` covers empty
+    // shards.
     let base = ["trace", "--app", "ofdm", "--seed", "42", "--njobs", "24"];
     let (ok, unsharded, stderr) = amdrel(&base);
     assert!(ok, "stderr: {stderr}");
@@ -1056,6 +1129,22 @@ fn sharded_single_app_trace_is_byte_identical_to_unsharded() {
             "--shards {shards} must not perturb a single-app trace"
         );
     }
+}
+
+#[test]
+fn shard_counts_past_the_app_count_run_one_shard_per_app() {
+    // Shards past the last app would hold no tenant, so the CLI never
+    // allocates or starts them: a huge count is the one-shard run.
+    let run = |shards| {
+        amdrel(&[
+            "simulate", "--app", "ofdm", "--njobs", "4", "--shards", shards, "--json",
+        ])
+    };
+    let (ok, one, stderr) = run("1");
+    assert!(ok, "stderr: {stderr}");
+    let (ok, huge, stderr) = run("18446744073709551615");
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(one, huge);
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! field named. The files hold no wall-clock field: timing lives in
 //! `perfbench/`.
 //!
-//! The committed files are hand-emitted JSON with a fixed shape (the
-//! offline vendor set has no serde_json), so field access here is a
-//! small brace-matching extractor rather than a full parser.
+//! The committed files are hand-emitted JSON with a fixed shape and
+//! the workspace has no JSON parsing dependency, so field access here
+//! is a small brace-matching extractor rather than a full parser.
 
 use amdrel::prelude::*;
 use amdrel_bench::{ofdm_prepared, synthetic_tenants};

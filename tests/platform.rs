@@ -68,10 +68,8 @@ fn heterogeneous_datapaths_are_expressible() {
 }
 
 #[test]
-fn platform_is_serializable_and_debuggable() {
-    fn assert_serialize<T: serde::Serialize>(_: &T) {}
+fn platform_is_debuggable() {
     let p = Platform::paper(5000, 3);
-    assert_serialize(&p);
     let debug = format!("{p:?}");
     assert!(
         debug.contains("5000"),
