@@ -8,10 +8,11 @@
 //! FPGA). The [`standard_mix`] bundles all three case studies at
 //! simulation-friendly input sizes with distinct service classes:
 //! OFDM symbols are latency-critical, Sobel frames are interactive,
-//! JPEG encodes are batch work.
+//! JPEG encodes are batch work. Profiles share nothing, so [`profiles`]
+//! builds them on parallel workers.
 
 use crate::{jpeg, ofdm, paper, sobel, Workload};
-use amdrel_core::{MappingCache, PartitioningEngine, Platform};
+use amdrel_core::{map_parallel, MappingCache, PartitioningEngine, Platform};
 use amdrel_explore::RuntimeEvaluator;
 use amdrel_runtime::{AppProfile, ShortestJobFirst};
 
@@ -104,18 +105,49 @@ pub fn sobel_profile(platform: &Platform) -> Result<AppProfile, Box<dyn std::err
     )
 }
 
-/// The three-tenant standard mix (`ofdm`, `jpeg`, `sobel`), in that
-/// order, partitioned on `platform`.
+/// The tenants of the [`standard_mix`], in mix order.
+pub const STANDARD_MIX: [&str; 3] = ["ofdm", "jpeg", "sobel"];
+
+/// The profiles of the named case studies (`ofdm`, `jpeg`, `sobel`)
+/// partitioned on `platform`, in the order named, built on up to `jobs`
+/// threads ([`map_parallel`]; 0 = one per available core). The result
+/// does not depend on `jobs`.
 ///
 /// # Errors
 ///
-/// The first profile that fails to build.
+/// The first name, in the order given, that names no case study or
+/// whose profile fails to build.
+pub fn profiles(
+    names: &[&str],
+    platform: &Platform,
+    jobs: usize,
+) -> Result<Vec<AppProfile>, Box<dyn std::error::Error>> {
+    let built = map_parallel(names, jobs, |&name| {
+        let profile = match name {
+            "ofdm" => ofdm_profile(platform),
+            "jpeg" => jpeg_profile(platform),
+            "sobel" => sobel_profile(platform),
+            other => {
+                return Err(format!(
+                    "unknown app '{other}' (expected ofdm, jpeg or sobel)"
+                ))
+            }
+        };
+        // A `Box<dyn Error>` may not cross threads; its message can.
+        profile.map_err(|e| format!("{name}: {e}"))
+    });
+    Ok(built.into_iter().collect::<Result<_, _>>()?)
+}
+
+/// The three-tenant standard mix ([`STANDARD_MIX`]: `ofdm`, `jpeg`,
+/// `sobel`), in that order, partitioned on `platform`, one profile per
+/// worker ([`profiles`]).
+///
+/// # Errors
+///
+/// The first profile, in mix order, that fails to build.
 pub fn standard_mix(platform: &Platform) -> Result<Vec<AppProfile>, Box<dyn std::error::Error>> {
-    Ok(vec![
-        ofdm_profile(platform)?,
-        jpeg_profile(platform)?,
-        sobel_profile(platform)?,
-    ])
+    profiles(&STANDARD_MIX, platform, 0)
 }
 
 /// Workload seed of the contention-aware exploration entry points
@@ -178,6 +210,20 @@ pub fn contention_evaluator(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn profiles_keep_their_order_and_the_first_failure() {
+        let platform = Platform::paper(1500, 2);
+        let one = profiles(&["sobel", "ofdm"], &platform, 1).unwrap();
+        assert_eq!(one, profiles(&["sobel", "ofdm"], &platform, 2).unwrap());
+        let names: Vec<&str> = one.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["sobel", "ofdm"]);
+        let err = profiles(&["ofdm", "fft", "dct"], &platform, 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown app 'fft' (expected ofdm, jpeg or sobel)"
+        );
+    }
 
     #[test]
     fn ofdm_profile_is_partitioned_and_configured() {

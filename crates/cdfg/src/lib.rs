@@ -15,6 +15,8 @@
 //!   kernel candidacy ("basic blocks inside loops").
 //! * [`dot`] — Graphviz export; [`synth`] — deterministic random DFGs for
 //!   tests.
+//! * [`hash`] — the workspace's one fixed-key hasher, for the frontend's
+//!   maps and the mapping cache's CDFG fingerprint.
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@ pub mod cfg;
 pub mod dfg;
 pub mod dom;
 pub mod dot;
+pub mod hash;
 pub mod loops;
 pub mod op;
 pub mod schedule;

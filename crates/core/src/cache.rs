@@ -17,10 +17,11 @@
 //! concurrent lookups.
 
 use crate::CoreError;
+use amdrel_cdfg::hash::FixedHasher;
 use amdrel_cdfg::Cdfg;
 use amdrel_coarsegrain::{CdfgCoarseGrainMapping, CgcDatapath, SchedulerConfig};
 use amdrel_finegrain::{CdfgFineGrainMapping, FpgaConfigKey, FpgaDevice};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,21 +220,21 @@ impl MappingCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CdfgFingerprint((u64, u64));
 
-/// Feeds every write to two differently-salted [`DefaultHasher`]s, giving
+/// Feeds every write to two differently keyed [`FixedHasher`]s, giving
 /// an effectively 128-bit structural hash — collisions between different
 /// CDFGs sharing one cache are then out of practical reach (the cache is
 /// not designed against adversarially crafted inputs).
 struct PairHasher {
-    a: DefaultHasher,
-    b: DefaultHasher,
+    a: FixedHasher,
+    b: FixedHasher,
 }
 
 impl PairHasher {
     fn new() -> Self {
-        let a = DefaultHasher::new();
-        let mut b = DefaultHasher::new();
-        0xA5A5_5A5A_D1FF_E4E4u64.hash(&mut b);
-        PairHasher { a, b }
+        PairHasher {
+            a: FixedHasher::default(),
+            b: FixedHasher::with_key(0xA5A5_5A5A_D1FF_E4E4),
+        }
     }
 
     fn finish_pair(&self) -> (u64, u64) {
@@ -247,6 +248,27 @@ impl Hasher for PairHasher {
         self.b.write(bytes);
     }
 
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.a.write_u64(i);
+        self.b.write_u64(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
     fn finish(&self) -> u64 {
         self.a.finish()
     }
@@ -257,8 +279,8 @@ impl Hasher for PairHasher {
 /// edges). Everything the fabric mappers read is covered, so equal
 /// fingerprints mean equal mappings for a given configuration.
 fn fingerprint(cdfg: &Cdfg) -> CdfgFingerprint {
-    // DefaultHasher::new() is keyed with fixed constants, so the
-    // fingerprint is stable within (and across) processes.
+    // Both lanes start from fixed keys, so the fingerprint is stable
+    // within (and across) processes.
     let mut h = PairHasher::new();
     cdfg.name().hash(&mut h);
     cdfg.len().hash(&mut h);
@@ -281,7 +303,7 @@ fn fingerprint(cdfg: &Cdfg) -> CdfgFingerprint {
 mod tests {
     use super::*;
     use crate::Platform;
-    use amdrel_cdfg::{BasicBlock, Dfg, OpKind};
+    use amdrel_cdfg::{BasicBlock, BlockId, Dfg, OpKind};
 
     fn toy_cdfg(name: &str, muls: usize) -> Cdfg {
         let mut cdfg = Cdfg::new(name);
@@ -354,6 +376,71 @@ mod tests {
         let b = cache.fine(&toy_cdfg("app", 9), &platform.fpga).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().fine_misses, 2);
+    }
+
+    /// The fields the fingerprint covers, one per table row.
+    const FIELDS: [&str; 10] = [
+        "name",
+        "block count",
+        "label",
+        "live-in width",
+        "live-out width",
+        "successors",
+        "DFG length",
+        "node kind",
+        "bitwidth",
+        "preds",
+    ];
+
+    /// A two-block CDFG, or the same CDFG with `field` changed in block 1.
+    fn variant(field: Option<&str>) -> Cdfg {
+        let is = |f: &str| field == Some(f);
+        let mut cdfg = Cdfg::new(if is("name") { "app2" } else { "app" });
+        for b in 0..if is("block count") { 3 } else { 2 } {
+            let changed = |f: &str| b == 1 && is(f);
+            let mut dfg = Dfg::new(format!("b{b}"));
+            let x = dfg.add_op(OpKind::LiveIn, 32);
+            let y = dfg.add_op(OpKind::LiveIn, 32);
+            let kind = if changed("node kind") {
+                OpKind::Add
+            } else {
+                OpKind::Mul
+            };
+            let m = dfg.add_op(kind, if changed("bitwidth") { 16 } else { 32 });
+            dfg.add_edge(x, m).unwrap();
+            if !changed("preds") {
+                dfg.add_edge(y, m).unwrap();
+            }
+            let out = dfg.add_op(OpKind::LiveOut, 32);
+            dfg.add_edge(m, out).unwrap();
+            if changed("DFG length") {
+                dfg.add_op(OpKind::Add, 32);
+            }
+            let label = if changed("label") { "other" } else { "bb" };
+            let mut bb = BasicBlock::from_dfg(format!("{label}{b}"), dfg);
+            bb.live_in += u32::from(changed("live-in width"));
+            bb.live_out += u32::from(changed("live-out width"));
+            cdfg.add_block(bb);
+        }
+        cdfg.add_edge(BlockId(0), BlockId(1)).unwrap();
+        let back = if is("successors") { 1 } else { 0 };
+        cdfg.add_edge(BlockId(1), BlockId(back)).unwrap();
+        cdfg
+    }
+
+    #[test]
+    fn fingerprint_sees_each_covered_field() {
+        let base = variant(None);
+        assert_eq!(
+            fingerprint(&base),
+            fingerprint(&variant(None)),
+            "equal CDFGs built separately fingerprint equal"
+        );
+        for field in FIELDS {
+            let changed = variant(Some(field));
+            assert_ne!(changed, base, "{field}: the variant must differ");
+            assert_ne!(fingerprint(&changed), fingerprint(&base), "{field}");
+        }
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! simulator consumes no randomness, and the [`Evaluator`](crate::Evaluator)
 //! memoises one simulation per design point — results are identical at
 //! every `--jobs` setting.
+//!
+//! Under region reconfiguration each simulation needs the mix's joint
+//! floorplan, and design points that differ only in their datapath share
+//! it: the evaluator floorplans each distinct input once and keeps the
+//! plan for its own lifetime (54 plans for the 216 points of the OFDM
+//! space), never across evaluators.
 
 use amdrel_core::Platform;
 use amdrel_floorplan::FabricGrid;
@@ -25,6 +31,13 @@ use amdrel_runtime::{
     WorkloadSpec,
 };
 use amdrel_trace::TraceSink;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+/// A joint floorplan's input beyond what an evaluator fixes: the
+/// candidate platform's usable area and the candidate's partition areas
+/// (the background tenants and the region count never change).
+type PlanKey = (u64, Vec<u64>);
 
 /// The contention outcome of simulating the workload mix on one
 /// candidate platform (all integers, so frontiers stay bit-comparable).
@@ -104,6 +117,8 @@ pub struct RuntimeEvaluator {
     faults: FaultSpec,
     recovery: RecoveryPolicy,
     regions: Option<usize>,
+    /// The joint floorplan of each distinct input scored so far.
+    plans: Mutex<HashMap<PlanKey, Arc<RegionPlan>>>,
 }
 
 impl RuntimeEvaluator {
@@ -125,6 +140,7 @@ impl RuntimeEvaluator {
             faults: FaultSpec::none(),
             recovery: RecoveryPolicy::default(),
             regions: None,
+            plans: Mutex::default(),
         }
     }
 
@@ -335,19 +351,37 @@ impl RuntimeEvaluator {
         if let Some(arrival) = self.arrival {
             spec.mean_interarrival = arrival;
         }
-        let plan = self.regions.map(|n| {
-            RegionPlan::new(
-                &profiles,
-                &FabricGrid::uniform(platform.fpga.usable_area(), n),
-            )
-        });
+        let plan = self.regions.map(|n| self.plan(n, platform, &profiles));
         let mut sim = Simulation::new(platform)
             .profiles(&profiles)
             .policy(self.policy.as_ref());
-        if let Some(plan) = plan.as_ref() {
+        if let Some(plan) = plan.as_deref() {
             sim = sim.regions(plan);
         }
         play(sim, &spec)
+    }
+
+    /// The joint floorplan of `profiles` (the candidate first, then the
+    /// background) on `regions` bands of `platform`'s usable area,
+    /// planned on the first request for its input. A miss is planned
+    /// while the lock is held, so each input is planned exactly once
+    /// even when several threads score at a time.
+    fn plan(
+        &self,
+        regions: usize,
+        platform: &Platform,
+        profiles: &[AppProfile],
+    ) -> Arc<RegionPlan> {
+        let usable = platform.fpga.usable_area();
+        let key = (usable, profiles[0].config.partition_areas.clone());
+        let mut plans = self.plans.lock().expect("region plan lock poisoned");
+        let plan = plans.entry(key).or_insert_with(|| {
+            Arc::new(RegionPlan::new(
+                profiles,
+                &FabricGrid::uniform(usable, regions),
+            ))
+        });
+        Arc::clone(plan)
     }
 
     /// Build the candidate [`AppProfile`] of one design point from its
@@ -375,7 +409,7 @@ impl RuntimeEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdrel_runtime::Fcfs;
+    use amdrel_runtime::{Fcfs, ShortestJobFirst};
 
     fn evaluator() -> RuntimeEvaluator {
         let background = vec![AppProfile::synthetic("bg", 0, 8_000, 2_000, vec![500])];
@@ -486,5 +520,86 @@ mod tests {
             &platform,
         );
         assert_ne!(light, heavy, "a heavier candidate changes the outcome");
+    }
+
+    /// `paper_flow`'s contention scorer, built here from the standard
+    /// mix: sjf over OFDM's two co-tenants at 130% load, 30‰ faults on
+    /// every channel with a 20-gap deadline, degradation and 4 regions.
+    fn paper_flow_scorer(mix: &[AppProfile]) -> RuntimeEvaluator {
+        use amdrel_apps::runtime::{CONTENTION_LOAD, CONTENTION_NJOBS, CONTENTION_SEED};
+        let arrival = WorkloadSpec::mean_interarrival_for(mix, CONTENTION_LOAD);
+        let faults = FaultSpec {
+            deadline: std::num::NonZeroU64::new(20 * arrival),
+            ..FaultSpec::uniform(42, 30)
+        };
+        RuntimeEvaluator::new(mix[1..].to_vec(), Box::new(ShortestJobFirst))
+            .with_priority(mix[0].priority)
+            .with_seed(CONTENTION_SEED)
+            .with_njobs(CONTENTION_NJOBS)
+            .with_load(CONTENTION_LOAD)
+            .with_arrival(arrival)
+            .with_faults(faults)
+            .with_recovery(RecoveryPolicy {
+                degrade: true,
+                ..RecoveryPolicy::default()
+            })
+            .with_region_reconfig(4)
+    }
+
+    /// An OFDM evaluator over `paper_flow`'s objectives, scored by `rt`.
+    fn ofdm_evaluator<'a>(
+        app: &'a amdrel_core::Analyzed,
+        base: &'a Platform,
+        cache: &'a amdrel_core::MappingCache,
+        rt: &'a RuntimeEvaluator,
+    ) -> crate::Evaluator<'a> {
+        let objectives = "cycles,area,energy,p95,p95_under_faults,degraded_share";
+        crate::Evaluator::new(
+            "ofdm",
+            &app.program.cdfg,
+            &app.analysis,
+            base,
+            amdrel_core::EnergyModel::default(),
+            cache,
+        )
+        .with_objectives(crate::ObjectiveSet::parse(objectives).unwrap())
+        .with_runtime(rt)
+    }
+
+    #[test]
+    fn one_scorer_plans_each_distinct_input_once_and_scores_like_fresh_ones() {
+        use amdrel_apps::{ofdm, runtime::standard_mix};
+
+        let base = Platform::paper(1500, 2);
+        let mix = standard_mix(&base).unwrap();
+        assert_eq!(mix[0].name, "ofdm");
+        let app = ofdm::workload(42).analyze().unwrap();
+        let ofdm_space = ofdm::design_space();
+        let space = crate::DesignSpace {
+            areas: ofdm_space.areas,
+            datapaths: ofdm_space.datapaths,
+            max_kernel_budget: ofdm_space.max_kernel_budget,
+            constraint: ofdm_space.constraint,
+        };
+        let cache = amdrel_core::MappingCache::new();
+
+        let shared = paper_flow_scorer(&mix);
+        let eval = ofdm_evaluator(&app, &base, &cache, &shared);
+        eval.prefill_contention(&space, 2).unwrap();
+        assert_eq!(space.len(), 216);
+        for flat in 0..space.len() {
+            let point = space.point(flat);
+            let scored = eval.evaluate(&space, point).unwrap().contention;
+            let fresh = paper_flow_scorer(&mix);
+            let alone = ofdm_evaluator(&app, &base, &cache, &fresh)
+                .evaluate(&space, point)
+                .unwrap()
+                .contention;
+            assert!(scored.is_some());
+            assert_eq!(scored, alone, "point {point:?}");
+            assert_eq!(fresh.plans.lock().unwrap().len(), 1);
+        }
+        assert_eq!(eval.stats().sim_runs, 216);
+        assert_eq!(shared.plans.lock().unwrap().len(), 54);
     }
 }

@@ -11,7 +11,7 @@ use crate::ir::{BlockIdx, Function, Instr, Operand, Terminator, VarId, VarInfo};
 use crate::lower::{HBlock, HFunction, HInstr};
 use crate::token::Span;
 use crate::CompileError;
-use std::collections::HashMap;
+use amdrel_cdfg::hash::FixedMap;
 
 /// Inline all calls, producing the final call-free entry [`Function`].
 ///
@@ -25,7 +25,7 @@ pub(crate) fn inline_program(
 ) -> Result<Function, CompileError> {
     let order = topo_order(&functions, entry)?;
     // Inline callees-first so each inline step splices call-free bodies.
-    let mut done: HashMap<String, HFunction> = HashMap::new();
+    let mut done: FixedMap<String, HFunction> = FixedMap::default();
     for idx in order {
         let mut f = functions[idx].clone();
         inline_calls(&mut f, &done)?;
@@ -48,7 +48,7 @@ pub(crate) fn inline_program(
 /// Callees-before-callers order over the call graph (recursion already
 /// rejected by sema; a cycle here is a bug).
 fn topo_order(functions: &[HFunction], entry: &str) -> Result<Vec<usize>, CompileError> {
-    let index: HashMap<&str, usize> = functions
+    let index: FixedMap<&str, usize> = functions
         .iter()
         .enumerate()
         .map(|(i, f)| (f.name.as_str(), i))
@@ -58,7 +58,7 @@ fn topo_order(functions: &[HFunction], entry: &str) -> Result<Vec<usize>, Compil
     fn visit(
         i: usize,
         functions: &[HFunction],
-        index: &HashMap<&str, usize>,
+        index: &FixedMap<&str, usize>,
         state: &mut [u8],
         order: &mut Vec<usize>,
     ) -> Result<(), CompileError> {
@@ -98,7 +98,7 @@ fn topo_order(functions: &[HFunction], entry: &str) -> Result<Vec<usize>, Compil
 
 /// Replace every call in `f` with a spliced copy of the (already call-free)
 /// callee from `done`.
-fn inline_calls(f: &mut HFunction, done: &HashMap<String, HFunction>) -> Result<(), CompileError> {
+fn inline_calls(f: &mut HFunction, done: &FixedMap<String, HFunction>) -> Result<(), CompileError> {
     loop {
         // Find the first remaining call.
         let mut site = None;

@@ -133,6 +133,30 @@ pub enum Instr {
     },
 }
 
+impl Instr {
+    /// The variable this instruction writes (`None` for a store).
+    pub(crate) fn dst(&self) -> Option<VarId> {
+        match self {
+            Instr::Bin { dst, .. }
+            | Instr::Un { dst, .. }
+            | Instr::Copy { dst, .. }
+            | Instr::Load { dst, .. } => Some(*dst),
+            Instr::Store { .. } => None,
+        }
+    }
+
+    /// The operands this instruction reads, in evaluation order; the
+    /// second is `None` for one-operand instructions.
+    pub(crate) fn operands(&self) -> [Option<Operand>; 2] {
+        match self {
+            Instr::Bin { lhs, rhs, .. } => [Some(*lhs), Some(*rhs)],
+            Instr::Un { src, .. } | Instr::Copy { src, .. } => [Some(*src), None],
+            Instr::Load { index, .. } => [Some(*index), None],
+            Instr::Store { index, value, .. } => [Some(*index), Some(*value)],
+        }
+    }
+}
+
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -11,7 +11,7 @@ use crate::ir::{
     ArrayRef, BlockIdx, GlobalArray, Instr, LocalArray, Operand, Terminator, VarId, VarInfo,
 };
 use crate::CompileError;
-use std::collections::HashMap;
+use amdrel_cdfg::hash::FixedMap;
 
 /// Internal instruction: real IR or a not-yet-inlined call.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ pub(crate) fn lower_functions(
             init: g.init.clone(),
         })
         .collect();
-    let global_index: HashMap<&str, u32> = program
+    let global_index: FixedMap<&str, u32> = program
         .globals
         .iter()
         .enumerate()
@@ -85,10 +85,10 @@ enum Binding {
 
 struct FnLowerer<'p> {
     def: &'p ast::FunctionDef,
-    global_index: &'p HashMap<&'p str, u32>,
+    global_index: &'p FixedMap<&'p str, u32>,
     vars: Vec<VarInfo>,
     arrays: Vec<LocalArray>,
-    scopes: Vec<HashMap<String, Binding>>,
+    scopes: Vec<FixedMap<String, Binding>>,
     blocks: Vec<HBlock>,
     current: BlockIdx,
     /// (continue target, break target) per enclosing loop.
@@ -97,13 +97,13 @@ struct FnLowerer<'p> {
 }
 
 impl<'p> FnLowerer<'p> {
-    fn new(def: &'p ast::FunctionDef, global_index: &'p HashMap<&'p str, u32>) -> Self {
+    fn new(def: &'p ast::FunctionDef, global_index: &'p FixedMap<&'p str, u32>) -> Self {
         FnLowerer {
             def,
             global_index,
             vars: Vec::new(),
             arrays: Vec::new(),
-            scopes: vec![HashMap::new()],
+            scopes: vec![FixedMap::default()],
             blocks: Vec::new(),
             current: BlockIdx(0),
             loop_stack: Vec::new(),
@@ -212,7 +212,7 @@ impl<'p> FnLowerer<'p> {
     // ---- statements -----------------------------------------------------
 
     fn lower_body(&mut self, body: &[Stmt]) -> Result<(), CompileError> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(FixedMap::default());
         for stmt in body {
             self.lower_stmt(stmt)?;
         }
@@ -348,7 +348,7 @@ impl<'p> FnLowerer<'p> {
                 body,
                 ..
             } => {
-                self.scopes.push(HashMap::new()); // for-header scope
+                self.scopes.push(FixedMap::default()); // for-header scope
                 if let Some(init) = init {
                     self.lower_stmt(init)?;
                 }

@@ -8,7 +8,7 @@
 //! [`eliminate_dead_code`] before profiling/partitioning to get honest
 //! block granularity and honest operation counts.
 
-use crate::ir::{BlockIdx, Function, Instr, Terminator};
+use crate::ir::{BlockIdx, Function, Terminator};
 use crate::liveness::Liveness;
 
 /// Simplify `f`'s CFG in place until a fixpoint:
@@ -189,25 +189,16 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
         }
         let mut kept = Vec::with_capacity(block.instrs.len());
         for instr in block.instrs.drain(..).rev() {
-            let (dst, uses): (Option<crate::ir::VarId>, Vec<crate::ir::Operand>) = match &instr {
-                Instr::Bin { dst, lhs, rhs, .. } => (Some(*dst), vec![*lhs, *rhs]),
-                Instr::Un { dst, src, .. } => (Some(*dst), vec![*src]),
-                Instr::Copy { dst, src } => (Some(*dst), vec![*src]),
-                Instr::Load { dst, index, .. } => (Some(*dst), vec![*index]),
-                Instr::Store { index, value, .. } => (None, vec![*index, *value]),
-            };
-            let is_dead = match dst {
-                Some(d) => !live.contains(&d),
-                None => false, // stores are side-effecting
-            };
-            if is_dead {
+            let dst = instr.dst();
+            // Stores are side-effecting and never dead.
+            if dst.is_some_and(|d| !live.contains(d)) {
                 removed += 1;
                 continue;
             }
             if let Some(d) = dst {
-                live.remove(&d);
+                live.remove(d);
             }
-            for u in uses {
+            for u in instr.operands().into_iter().flatten() {
                 if let crate::ir::Operand::Var(v) = u {
                     live.insert(v);
                 }

@@ -11,7 +11,7 @@
 use crate::ast::{Expr, FunctionDef, LValue, Program, Stmt};
 use crate::token::Span;
 use crate::CompileError;
-use std::collections::{HashMap, HashSet};
+use amdrel_cdfg::hash::{FixedMap, FixedSet};
 
 /// Check `program` for semantic errors.
 ///
@@ -29,8 +29,8 @@ pub fn check(program: &Program, entry: &str) -> Result<(), CompileError> {
 
 struct Checker<'p> {
     program: &'p Program,
-    functions: HashMap<&'p str, &'p FunctionDef>,
-    globals: HashSet<&'p str>,
+    functions: FixedMap<&'p str, &'p FunctionDef>,
+    globals: FixedSet<&'p str>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -40,18 +40,18 @@ enum NameKind {
 }
 
 struct Scopes<'p> {
-    stack: Vec<HashMap<&'p str, NameKind>>,
+    stack: Vec<FixedMap<&'p str, NameKind>>,
 }
 
 impl<'p> Scopes<'p> {
     fn new() -> Self {
         Scopes {
-            stack: vec![HashMap::new()],
+            stack: vec![FixedMap::default()],
         }
     }
 
     fn push(&mut self) {
-        self.stack.push(HashMap::new());
+        self.stack.push(FixedMap::default());
     }
 
     fn pop(&mut self) {
@@ -75,8 +75,8 @@ impl<'p> Checker<'p> {
     fn new(program: &'p Program) -> Self {
         Checker {
             program,
-            functions: HashMap::new(),
-            globals: HashSet::new(),
+            functions: FixedMap::default(),
+            globals: FixedSet::default(),
         }
     }
 
@@ -376,7 +376,7 @@ impl<'p> Checker<'p> {
             .iter()
             .map(|f| f.name.as_str())
             .collect();
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let index: FixedMap<&str, usize> = names.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let mut marks = vec![Mark::White; names.len()];
 
         fn calls_of(body: &[Stmt], out: &mut Vec<(String, Span)>) {
@@ -464,7 +464,7 @@ impl<'p> Checker<'p> {
         fn visit(
             i: usize,
             program: &Program,
-            index: &HashMap<&str, usize>,
+            index: &FixedMap<&str, usize>,
             marks: &mut [Mark],
         ) -> Result<(), CompileError> {
             marks[i] = Mark::Gray;

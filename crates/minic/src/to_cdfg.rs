@@ -19,8 +19,8 @@
 
 use crate::ir::{ArrayRef, Function, Instr, IrProgram, Operand, Terminator, VarId};
 use crate::liveness::Liveness;
+use amdrel_cdfg::hash::FixedMap;
 use amdrel_cdfg::{BasicBlock, Cdfg, Dfg, DfgNode, NodeId, OpKind};
-use std::collections::HashMap;
 
 /// Convert a lowered program into the CDFG consumed by the partitioning
 /// flow. Block indices are preserved: IR block `i` becomes CDFG `bb i`.
@@ -95,17 +95,17 @@ struct DfgBuilder<'a> {
     f: &'a Function,
     dfg: Dfg,
     /// Current defining node per variable (within the block).
-    def: HashMap<VarId, NodeId>,
+    def: FixedMap<VarId, NodeId>,
     /// Current symbolic value per variable (within the block).
-    sym: HashMap<VarId, SymAddr>,
+    sym: FixedMap<VarId, SymAddr>,
     /// Shared constant nodes per value.
-    consts: HashMap<i64, NodeId>,
+    consts: FixedMap<i64, NodeId>,
     /// Shared live-in nodes per variable.
-    live_ins: HashMap<VarId, NodeId>,
+    live_ins: FixedMap<VarId, NodeId>,
     /// Outstanding memory accesses per array: `(node, address)` of every
     /// store and load so far, for pairwise disambiguation.
-    stores: HashMap<ArrayRef, Vec<(NodeId, SymAddr)>>,
-    loads: HashMap<ArrayRef, Vec<(NodeId, SymAddr)>>,
+    stores: FixedMap<ArrayRef, Vec<(NodeId, SymAddr)>>,
+    loads: FixedMap<ArrayRef, Vec<(NodeId, SymAddr)>>,
     /// Monotone counter used to mint opaque [`SymBase::Def`] roots.
     instr_pos: usize,
 }
@@ -350,28 +350,22 @@ fn block_to_dfg(ir: &IrProgram, f: &Function, block_idx: usize, liveness: &Liven
         ir,
         f,
         dfg: Dfg::new(block.label.clone()),
-        def: HashMap::new(),
-        sym: HashMap::new(),
-        consts: HashMap::new(),
-        live_ins: HashMap::new(),
-        stores: HashMap::new(),
-        loads: HashMap::new(),
+        def: FixedMap::default(),
+        sym: FixedMap::default(),
+        consts: FixedMap::default(),
+        live_ins: FixedMap::default(),
+        stores: FixedMap::default(),
+        loads: FixedMap::default(),
         instr_pos: 0,
     };
     for instr in &block.instrs {
         b.instr(instr);
     }
 
-    // Publish live-out values: anything defined here and live on exit.
-    let mut outs: Vec<VarId> = liveness
-        .live_out(block_idx)
-        .iter()
-        .copied()
-        .filter(|v| b.def.contains_key(v))
-        .collect();
-    outs.sort(); // deterministic node order
-    for v in outs {
-        let src = b.def[&v];
+    // Publish live-out values: anything defined here and live on exit,
+    // in ascending variable order (a deterministic node order).
+    for v in liveness.live_out(block_idx).iter() {
+        let Some(&src) = b.def.get(&v) else { continue };
         // A live-out that aliases a live-in (pure pass-through copy) moves
         // no new data; skip it.
         if b.dfg.node(src).kind == OpKind::LiveIn {

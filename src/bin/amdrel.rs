@@ -17,7 +17,11 @@
 //! with `--njobs` jobs (default 64) at `--load` percent offered
 //! fine-grain load (default 130). The arrival rate is pinned from the
 //! background mix on the base platform, so every candidate platform
-//! sees identical offered traffic.
+//! sees identical offered traffic. Without a runtime objective
+//! `explore` simulates nothing, so it refuses the workload and fault
+//! flags (`--policy`, `--njobs`, `--load`, `--fault-rate`,
+//! `--fault-seed`, `--deadline`, `--max-retries`, `--degrade`) instead
+//! of ignoring them.
 //!
 //! `--reconfig` selects the reconfiguration cost model shared by
 //! `simulate` and `explore`: `streamed` (the default) prices every load
@@ -54,7 +58,8 @@
 //! the format `--trace-format` selects: `chrome` (default; the
 //! `amdrel-trace/v1` Chrome trace-event JSON, loadable in Perfetto /
 //! `chrome://tracing`) or `text` (a plain timeline plus a gantt-style
-//! per-resource view). On `explore`, `--trace` requires a runtime
+//! per-resource view); `simulate` and `explore` refuse `--trace-format`
+//! without `--trace`. On `explore`, `--trace` requires a runtime
 //! objective and traces the contention run of the best frontier point
 //! after the search. `amdrel trace` is `simulate` that prints the trace
 //! itself to stdout (or `--trace FILE`) instead of the report. Tracing
@@ -117,6 +122,7 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
             "  faults:\n",
             "    --fault-rate PERMILLE   --fault-seed S   --deadline CYCLES\n",
             "    --max-retries N   --degrade\n",
+            "    (workload and fault flags need a runtime objective)\n",
             "  regions:\n",
             "    --reconfig streamed|region|free   --regions N | --region-shape RxC\n",
             "    (--regions/--region-shape are mutually exclusive and imply ",
@@ -124,7 +130,7 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
             "  observability:\n",
             "    --json   --trace FILE   --trace-format chrome|text   --profile\n",
             "    (--trace needs a runtime objective; it traces the best frontier ",
-            "point's contention run)",
+            "point's contention run; --trace-format needs --trace)",
         ),
     ),
     (
@@ -146,6 +152,7 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
             "--reconfig free)\n",
             "  observability:\n",
             "    --json   --trace FILE   --trace-format chrome|text   --profile\n",
+            "    (--trace-format needs --trace)\n",
             "  (--load/--arrival and --regions/--region-shape are mutually exclusive pairs)",
         ),
     ),
@@ -250,7 +257,34 @@ struct Options {
     trace: Option<String>,
     trace_format: String,
     profile: bool,
+    /// Every flag on the command line, in order: a default value looks
+    /// the same as a typed one, so refusing a flag needs this.
+    given: Vec<String>,
 }
+
+impl Options {
+    /// Whether `flag` was on the command line.
+    fn given(&self, flag: &str) -> bool {
+        self.given.iter().any(|f| f == flag)
+    }
+}
+
+/// The `explore` flags only its runtime scorer reads: without a runtime
+/// objective no simulation runs, and each of them would change nothing.
+const RUNTIME_FLAGS: [&str; 8] = [
+    "--policy",
+    "--njobs",
+    "--load",
+    "--fault-rate",
+    "--fault-seed",
+    "--deadline",
+    "--max-retries",
+    "--degrade",
+];
+
+/// The objectives that run the runtime scorer, as error messages name
+/// them.
+const RUNTIME_OBJECTIVES: &str = "p95, throughput, p95_under_faults or degraded_share";
 
 /// Whether a subcommand takes a mini-C source file as its positional
 /// argument (`simulate` and `trace` run the built-in case studies
@@ -299,6 +333,7 @@ fn parse_options(args: &[String], command: &str) -> Result<Options, String> {
         trace: None,
         trace_format: "chrome".to_owned(),
         profile: false,
+        given: Vec::new(),
     };
     let mut it = args.iter().peekable();
     let mut positional = Vec::new();
@@ -308,6 +343,9 @@ fn parse_options(args: &[String], command: &str) -> Result<Options, String> {
             && SUBCOMMANDS.iter().any(|(cmd, _)| takes_flag(cmd, arg))
         {
             return Err(format!("{command} does not take {arg}"));
+        }
+        if arg.starts_with("--") {
+            opts.given.push(arg.clone());
         }
         let mut value_of = |name: &str| -> Result<String, String> {
             it.next()
@@ -652,6 +690,11 @@ fn run(args: Vec<String>) -> Result<(), String> {
         return Ok(());
     }
     let opts = parse_options(rest, command).map_err(|e| format!("{e}\nusage: {cmd_usage}"))?;
+    // `trace` renders to stdout without a file; the others only format
+    // the file `--trace` names.
+    if command != "trace" && opts.given("--trace-format") && opts.trace.is_none() {
+        return Err("--trace-format formats the --trace file: give --trace FILE too".to_owned());
+    }
     match command.as_str() {
         "analyze" => {
             let (program, analysis) = analyzed(&opts)?;
@@ -748,12 +791,22 @@ fn run(args: Vec<String>) -> Result<(), String> {
         "explore" => {
             let objectives = ObjectiveSet::parse(&opts.objectives)?;
             if opts.trace.is_some() && !objectives.needs_runtime() {
-                return Err(
-                    "--trace on explore needs a runtime objective (p95, throughput, \
-                     p95_under_faults or degraded_share): the trace replays the best \
-                     frontier point's contention run"
-                        .to_owned(),
-                );
+                return Err(format!(
+                    "--trace on explore needs a runtime objective ({RUNTIME_OBJECTIVES}): \
+                     the trace replays the best frontier point's contention run"
+                ));
+            }
+            if !objectives.needs_runtime() {
+                if let Some(flag) = opts
+                    .given
+                    .iter()
+                    .find(|f| RUNTIME_FLAGS.contains(&f.as_str()))
+                {
+                    return Err(format!(
+                        "{flag} is read only by the runtime objectives ({RUNTIME_OBJECTIVES}); \
+                         add one to --objectives"
+                    ));
+                }
             }
             if objectives.needs_runtime() && opts.njobs == 0 {
                 return Err(
@@ -802,8 +855,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
                         opts.policy
                     )
                 })?;
-                let background = amdrel::apps::runtime::standard_mix(&base)
-                    .map_err(|e| format!("building background tenants: {e}"))?;
+                let background = amdrel::apps::runtime::profiles(
+                    &amdrel::apps::runtime::STANDARD_MIX,
+                    &base,
+                    opts.jobs,
+                )
+                .map_err(|e| format!("building background tenants: {e}"))?;
                 // Pin one absolute arrival rate (derived from the
                 // background mix on the base platform) so every
                 // candidate platform is scored under identical offered
@@ -922,25 +979,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 ),
                 None => None,
             };
-            let selected: Vec<String> = if opts.apps.is_empty() {
-                vec!["ofdm".to_owned(), "jpeg".to_owned(), "sobel".to_owned()]
+            let selected: Vec<&str> = if opts.apps.is_empty() {
+                amdrel::apps::runtime::STANDARD_MIX.to_vec()
             } else {
-                opts.apps.clone()
+                opts.apps.iter().map(String::as_str).collect()
             };
-            let mut profiles = Vec::with_capacity(selected.len());
-            for name in &selected {
-                let profile = match name.as_str() {
-                    "ofdm" => amdrel::apps::runtime::ofdm_profile(&platform),
-                    "jpeg" => amdrel::apps::runtime::jpeg_profile(&platform),
-                    "sobel" => amdrel::apps::runtime::sobel_profile(&platform),
-                    other => {
-                        return Err(format!(
-                            "unknown app '{other}' (expected ofdm, jpeg or sobel)"
-                        ))
-                    }
-                };
-                profiles.push(profile.map_err(|e| format!("{name}: {e}"))?);
-            }
+            let profiles = amdrel::apps::runtime::profiles(&selected, &platform, 0)
+                .map_err(|e| e.to_string())?;
             let policy = policy_by_name(&opts.policy).ok_or_else(|| {
                 format!(
                     "unknown policy '{}' (expected fcfs, sjf, priority or affinity)",

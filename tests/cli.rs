@@ -218,6 +218,141 @@ fn explore_is_seed_deterministic() {
 }
 
 #[test]
+fn contended_exploration_is_byte_identical_at_any_jobs() {
+    // Runtime objectives build the standard mix's profiles and score
+    // every point on `--jobs` workers, floorplanning each distinct
+    // candidate onto the regions once: none of it may move the output.
+    let src = write_source("fir_explore_jobs.c", FIR);
+    let run = |jobs: &str| {
+        amdrel(&[
+            "explore",
+            src.to_str().unwrap(),
+            "--strategy",
+            "exhaustive",
+            "--objectives",
+            "cycles,p95,p95_under_faults,degraded_share",
+            "--regions",
+            "4",
+            "--fault-rate",
+            "30",
+            "--degrade",
+            "--jobs",
+            jobs,
+        ])
+    };
+    let (ok1, out1, err1) = run("1");
+    let (ok2, out2, err2) = run("2");
+    assert!(ok1 && ok2, "{err1}{err2}");
+    assert!(out1.contains("p95 latency"), "{out1}");
+    assert_eq!(out1, out2, "contended frontier must not depend on --jobs");
+}
+
+#[test]
+fn explore_refuses_runtime_flags_without_a_runtime_objective() {
+    let src = write_source("fir_explore_static.c", FIR);
+    let src = src.to_str().unwrap();
+    let flags: [&[&str]; 8] = [
+        &["--policy", "sjf"],
+        &["--njobs", "8"],
+        &["--load", "90"],
+        &["--fault-rate", "5"],
+        &["--fault-seed", "4"],
+        &["--deadline", "9"],
+        &["--max-retries", "2"],
+        &["--degrade"],
+    ];
+    for flag in flags {
+        let args = [&["explore", src][..], flag].concat();
+        let (ok, stdout, stderr) = amdrel(&args);
+        assert!(!ok, "{args:?} must fail: {stdout}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+        assert!(errors[0].contains(flag[0]), "{args:?}: {stderr}");
+        assert!(errors[0].contains("p95_under_faults"), "{args:?}: {stderr}");
+    }
+    // With a runtime objective every one of them is read.
+    let (ok, stdout, stderr) = amdrel(&[
+        "explore",
+        src,
+        "--objectives",
+        "cycles,p95",
+        "--strategy",
+        "random",
+        "--budget",
+        "4",
+        "--policy",
+        "sjf",
+        "--njobs",
+        "8",
+        "--load",
+        "90",
+        "--fault-rate",
+        "5",
+        "--fault-seed",
+        "4",
+        "--deadline",
+        "100000",
+        "--max-retries",
+        "2",
+        "--degrade",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("Pareto frontier"), "{stdout}");
+}
+
+#[test]
+fn trace_format_needs_a_trace_file_except_on_trace() {
+    let src = write_source("fir_trace_format.c", FIR);
+    for args in [
+        &[
+            "simulate",
+            "--app",
+            "ofdm",
+            "--njobs",
+            "4",
+            "--trace-format",
+            "text",
+        ][..],
+        &[
+            "simulate",
+            "--njobs",
+            "4",
+            "--json",
+            "--trace-format",
+            "chrome",
+        ],
+        &[
+            "explore",
+            src.to_str().unwrap(),
+            "--objectives",
+            "cycles,p95",
+            "--trace-format",
+            "text",
+        ],
+    ] {
+        let (ok, stdout, stderr) = amdrel(args);
+        assert!(!ok, "{args:?} must fail: {stdout}");
+        assert!(
+            stderr.contains("error: --trace-format"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("--trace FILE"), "{args:?}: {stderr}");
+    }
+    // `trace` renders to stdout, so the format applies without a file.
+    let (ok, stdout, stderr) = amdrel(&[
+        "trace",
+        "--app",
+        "ofdm",
+        "--njobs",
+        "4",
+        "--trace-format",
+        "text",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("resource gantt:"), "{stdout}");
+}
+
+#[test]
 fn malformed_flags_exit_nonzero_with_usage() {
     let src = write_source("fir_badflag.c", FIR);
     let (ok, _, stderr) = amdrel(&["sweep", src.to_str().unwrap(), "--bogus"]);
