@@ -180,15 +180,6 @@ impl Cdfg {
         &self.blocks[id.index()]
     }
 
-    /// Mutable access to a block payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a block of this graph.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.index()]
-    }
-
     /// Fallible block lookup.
     pub fn get(&self, id: BlockId) -> Option<&BasicBlock> {
         self.blocks.get(id.index())

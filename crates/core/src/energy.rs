@@ -299,9 +299,10 @@ pub fn partition_for_energy(
     model: &EnergyModel,
     budget: u64,
 ) -> Result<EnergyResult, CoreError> {
-    let n = cdfg.len();
-    let mut assignment = vec![Assignment::FineGrain; n];
-    let initial = energy_of_assignment(cdfg, analysis, platform, model, &assignment)?;
+    let fine = CdfgFineGrainMapping::map(cdfg, &platform.fpga)?;
+    let costs = BlockEnergyCosts::compute(cdfg, analysis, &fine, model);
+    let mut assignment = vec![Assignment::FineGrain; cdfg.len()];
+    let initial = costs.breakdown(&assignment);
     let mut energy = initial;
     let mut moves = Vec::new();
     for &kernel in analysis.kernels() {
@@ -309,7 +310,7 @@ pub fn partition_for_energy(
             break;
         }
         assignment[kernel.index()] = Assignment::CoarseGrain;
-        let candidate = energy_of_assignment(cdfg, analysis, platform, model, &assignment)?;
+        let candidate = costs.breakdown(&assignment);
         if candidate.total() >= energy.total() {
             assignment[kernel.index()] = Assignment::FineGrain; // revert
             continue;

@@ -199,12 +199,6 @@ impl Platform {
         self
     }
 
-    /// Builder-style override of the scheduler configuration.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Builder-style override of the runtime reconfiguration model.
     pub fn with_reconfig(mut self, reconfig: ReconfigModel) -> Self {
         self.reconfig = reconfig;

@@ -1,8 +1,8 @@
 //! Whole-program function inlining.
 //!
 //! The partitioning methodology operates on one flat CDFG of the
-//! application, so every call is inlined into the entry function (sema
-//! has already rejected recursion). Functions are processed callees-first;
+//! application, so every call is inlined into the entry function, and
+//! this pass rejects recursion. Functions are processed callees-first;
 //! inlining one call splices a variable- and block-remapped copy of the
 //! callee's CFG into the caller and rewrites `return`s into jumps to the
 //! continuation block.
@@ -15,90 +15,98 @@ use amdrel_cdfg::hash::FixedMap;
 
 /// Inline all calls, producing the final call-free entry [`Function`].
 ///
+/// `functions` come from lowering, in source order: every callee and
+/// `entry` exist.
+///
 /// # Errors
 ///
-/// [`CompileError`] if the entry function is missing or a callee cannot be
-/// resolved (both normally excluded by sema).
+/// [`CompileError`] at the call that closes the first cycle in the call
+/// graph: recursion cannot be inlined.
 pub(crate) fn inline_program(
     functions: Vec<HFunction>,
     entry: &str,
 ) -> Result<Function, CompileError> {
-    let order = topo_order(&functions, entry)?;
+    let order = topo_order(&functions)?;
     // Inline callees-first so each inline step splices call-free bodies.
     let mut done: FixedMap<String, HFunction> = FixedMap::default();
     for idx in order {
         let mut f = functions[idx].clone();
-        inline_calls(&mut f, &done)?;
+        inline_calls(&mut f, &done);
         done.insert(f.name.clone(), f);
     }
-    let entry_fn = done.remove(entry).ok_or_else(|| {
-        CompileError::new(
-            format!("entry function '{entry}' not found"),
-            Span::default(),
-        )
-    })?;
-    finalize(entry_fn).map_err(|callee| {
-        CompileError::new(
-            format!("unresolved call to '{callee}' after inlining"),
-            Span::default(),
-        )
-    })
+    let entry_fn = done.remove(entry).expect("lowering checked the entry");
+    Ok(finalize(entry_fn))
 }
 
-/// Callees-before-callers order over the call graph (recursion already
-/// rejected by sema; a cycle here is a bug).
-fn topo_order(functions: &[HFunction], entry: &str) -> Result<Vec<usize>, CompileError> {
+/// Callees-before-callers order over the call graph.
+///
+/// The depth-first walk takes the functions and each function's calls
+/// in source order (by span start, since lowering emits a `for` step
+/// after its body), so the call it reports closes the first cycle the
+/// source reaches, called from the entry or not.
+fn topo_order(functions: &[HFunction]) -> Result<Vec<usize>, CompileError> {
     let index: FixedMap<&str, usize> = functions
         .iter()
         .enumerate()
         .map(|(i, f)| (f.name.as_str(), i))
         .collect();
-    let mut order = Vec::new();
-    let mut state = vec![0u8; functions.len()]; // 0 white, 1 gray, 2 black
-    fn visit(
-        i: usize,
-        functions: &[HFunction],
-        index: &FixedMap<&str, usize>,
-        state: &mut [u8],
-        order: &mut Vec<usize>,
-    ) -> Result<(), CompileError> {
-        if state[i] == 2 {
-            return Ok(());
-        }
-        if state[i] == 1 {
-            return Err(CompileError::new(
-                format!("recursive call cycle through '{}'", functions[i].name),
-                Span::default(),
-            ));
-        }
-        state[i] = 1;
-        for b in &functions[i].blocks {
-            for instr in &b.instrs {
-                if let HInstr::Call { callee, .. } = instr {
-                    if let Some(&j) = index.get(callee.as_str()) {
-                        visit(j, functions, index, state, order)?;
-                    }
-                }
-            }
-        }
-        state[i] = 2;
-        order.push(i);
-        Ok(())
-    }
-    // Visit everything reachable from the entry (plus the rest, so library
-    // functions still get checked), entry last.
-    if let Some(&e) = index.get(entry) {
-        visit(e, functions, &index, &mut state, &mut order)?;
-    }
+    let mut marks = vec![Mark::White; functions.len()];
+    let mut order = Vec::with_capacity(functions.len());
     for i in 0..functions.len() {
-        visit(i, functions, &index, &mut state, &mut order)?;
+        if marks[i] == Mark::White {
+            visit(i, functions, &index, &mut marks, &mut order)?;
+        }
     }
     Ok(order)
 }
 
+/// A function's state in [`topo_order`]'s walk.
+#[derive(Clone, Copy, PartialEq)]
+enum Mark {
+    White,
+    /// On the walk's current path: a call to it closes a cycle.
+    Gray,
+    Black,
+}
+
+fn visit(
+    i: usize,
+    functions: &[HFunction],
+    index: &FixedMap<&str, usize>,
+    marks: &mut [Mark],
+    order: &mut Vec<usize>,
+) -> Result<(), CompileError> {
+    marks[i] = Mark::Gray;
+    let mut calls: Vec<(&str, Span)> = functions[i]
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .filter_map(|instr| match instr {
+            HInstr::Call { callee, span, .. } => Some((callee.as_str(), *span)),
+            HInstr::Real(_) => None,
+        })
+        .collect();
+    calls.sort_by_key(|&(_, span)| span.start);
+    for (callee, span) in calls {
+        let j = index[callee]; // lowering resolved every callee
+        if marks[j] == Mark::Gray {
+            return Err(CompileError::new(
+                format!("recursion involving '{callee}' is not supported (all calls are inlined)"),
+                span,
+            ));
+        }
+        if marks[j] == Mark::White {
+            visit(j, functions, index, marks, order)?;
+        }
+    }
+    marks[i] = Mark::Black;
+    order.push(i);
+    Ok(())
+}
+
 /// Replace every call in `f` with a spliced copy of the (already call-free)
 /// callee from `done`.
-fn inline_calls(f: &mut HFunction, done: &FixedMap<String, HFunction>) -> Result<(), CompileError> {
+fn inline_calls(f: &mut HFunction, done: &FixedMap<String, HFunction>) {
     loop {
         // Find the first remaining call.
         let mut site = None;
@@ -111,18 +119,18 @@ fn inline_calls(f: &mut HFunction, done: &FixedMap<String, HFunction>) -> Result
             }
         }
         let Some((bi, ii)) = site else {
-            return Ok(());
+            return;
         };
 
-        let HInstr::Call { dst, callee, args } = f.blocks[bi].instrs[ii].clone() else {
+        let HInstr::Call {
+            dst, callee, args, ..
+        } = f.blocks[bi].instrs[ii].clone()
+        else {
             unreachable!("site points at a call");
         };
-        let callee_fn = done.get(&callee).ok_or_else(|| {
-            CompileError::new(
-                format!("call to unknown function '{callee}'"),
-                Span::default(),
-            )
-        })?;
+        let callee_fn = done
+            .get(&callee)
+            .expect("lowering resolved the callee, and the order inlined it first");
 
         // --- allocate remapped variables and arrays for the callee copy.
         let var_base = f.vars.len() as u32;
@@ -261,15 +269,14 @@ fn remap_instr(
 }
 
 /// Convert a call-free [`HFunction`] into the public [`Function`].
-/// Returns `Err(callee_name)` if a call remains.
-fn finalize(f: HFunction) -> Result<Function, String> {
+fn finalize(f: HFunction) -> Function {
     let mut blocks = Vec::with_capacity(f.blocks.len());
     for b in f.blocks {
         let mut instrs = Vec::with_capacity(b.instrs.len());
         for i in b.instrs {
             match i {
                 HInstr::Real(i) => instrs.push(i),
-                HInstr::Call { callee, .. } => return Err(callee),
+                HInstr::Call { .. } => unreachable!("inline_calls leaves no call"),
             }
         }
         blocks.push(crate::ir::Block {
@@ -278,13 +285,13 @@ fn finalize(f: HFunction) -> Result<Function, String> {
             term: b.term,
         });
     }
-    Ok(Function {
+    Function {
         name: f.name,
         params: f.params,
         vars: f.vars,
         arrays: f.arrays,
         blocks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -296,8 +303,7 @@ mod tests {
 
     fn inline_src(src: &str) -> Function {
         let ast = parse(&lex(src).unwrap()).unwrap();
-        crate::sema::check(&ast, "main").unwrap();
-        let (_, fns) = lower_functions(&ast).unwrap();
+        let (_, fns) = lower_functions(&ast, "main").unwrap();
         inline_program(fns, "main").unwrap()
     }
 

@@ -3,9 +3,10 @@
 //! The paper builds its prototype on SUIF2/MachineSUIF with custom passes
 //! for CDFG creation, and on Lex for source-level analysis. This crate is
 //! that substrate, rebuilt from scratch: a lexer, recursive-descent parser,
-//! semantic checker, three-address lowering with full function inlining,
-//! CFG simplification, liveness analysis, and conversion to the
-//! [`amdrel_cdfg`] CDFG the rest of the flow consumes.
+//! three-address lowering that also resolves names and rejects
+//! ill-formed programs, full function inlining, CFG simplification,
+//! liveness analysis, and conversion to the [`amdrel_cdfg`] CDFG the rest
+//! of the flow consumes.
 //!
 //! ## The mini-C language
 //!
@@ -27,8 +28,9 @@
 //! ## Pipeline
 //!
 //! ```text
-//! source ──lex──► tokens ──parse──► AST ──sema──► (checked)
-//!        ──lower──► per-function IR ──inline──► one flat Function
+//! source ──lex──► tokens ──parse──► AST
+//!        ──lower──► per-function IR    (names, scopes, calls, returns, loops)
+//!        ──inline──► one flat Function (no recursion)
 //!        ──simplify_cfg──► honest basic blocks ──to_cdfg──► Cdfg
 //! ```
 //!
@@ -66,7 +68,6 @@ pub mod liveness;
 mod lower;
 pub mod opt;
 pub mod parser;
-pub mod sema;
 pub mod to_cdfg;
 pub mod token;
 
@@ -112,8 +113,7 @@ pub fn compile(src: &str, entry: &str) -> Result<CompiledProgram, CompileError> 
 pub fn compile_to_ir(src: &str, entry: &str) -> Result<ir::IrProgram, CompileError> {
     let tokens = lexer::lex(src)?;
     let ast = parser::parse(&tokens)?;
-    sema::check(&ast, entry)?;
-    let (globals, functions) = lower::lower_functions(&ast)?;
+    let (globals, functions) = lower::lower_functions(&ast, entry)?;
     let mut entry_fn = inline::inline_program(functions, entry)?;
     opt::optimize(&mut entry_fn);
     Ok(ir::IrProgram {
@@ -185,5 +185,143 @@ mod tests {
         assert!(compile("int main() { return q; }", "main").is_err());
         assert!(compile("int main() {", "main").is_err());
         assert!(compile("@", "main").is_err());
+    }
+}
+
+/// Unit tests of the semantic rules, which lowering (names, scopes,
+/// calls, returns, loops) and the inliner (recursion) enforce.
+/// `tests/diagnostics.rs` pins many more programs.
+#[cfg(test)]
+mod sema {
+    mod tests {
+        use crate::compile_to_ir;
+
+        /// The full `line:col: message` that rejects `src`.
+        fn rejection(src: &str) -> String {
+            compile_to_ir(src, "main").unwrap_err().to_string()
+        }
+
+        #[test]
+        fn valid_program_passes() {
+            compile_to_ir(
+                "int buf[8];\nint helper(int x) { return x * 2; }\nint main() { int s = 0; for (int i = 0; i < 8; i++) { buf[i] = helper(i); s += buf[i]; } return s; }",
+                "main",
+            )
+            .unwrap();
+        }
+
+        #[test]
+        fn undeclared_variable() {
+            let e = rejection("int main() { return q; }");
+            assert_eq!(e, "1:21: undeclared variable 'q'");
+        }
+
+        #[test]
+        fn undeclared_function() {
+            let e = rejection("int main() { return f(1); }");
+            assert_eq!(e, "1:21: call to undeclared function 'f'");
+        }
+
+        #[test]
+        fn arity_mismatch() {
+            let e = rejection("int f(int a) { return a; } int main() { return f(1, 2); }");
+            assert_eq!(e, "1:48: function 'f' takes 1 arguments, 2 given");
+        }
+
+        #[test]
+        fn array_used_as_scalar() {
+            let e = rejection("int a[4]; int main() { return a; }");
+            assert_eq!(e, "1:31: array 'a' used as a scalar value");
+        }
+
+        #[test]
+        fn scalar_indexed_as_array() {
+            let e = rejection("int main() { int x = 0; return x[1]; }");
+            assert_eq!(e, "1:32: 'x' is a scalar, not an array");
+        }
+
+        #[test]
+        fn missing_entry() {
+            let e = rejection("int f() { return 0; }");
+            assert_eq!(e, "0:0: entry function 'main' not found");
+        }
+
+        #[test]
+        fn entry_with_params_rejected() {
+            let e = rejection("int main(int argc) { return argc; }");
+            assert_eq!(e, "1:1: entry function 'main' must take no parameters");
+        }
+
+        #[test]
+        fn direct_recursion_rejected() {
+            let e = rejection("int main() { return 0; } int f(int n) { return f(n - 1); }");
+            assert_eq!(
+                e,
+                "1:48: recursion involving 'f' is not supported (all calls are inlined)"
+            );
+        }
+
+        #[test]
+        fn mutual_recursion_rejected() {
+            let e = rejection("int main() { return 0; } int f(int n) { return g(n); } int g(int n) { return f(n); }");
+            assert_eq!(
+                e,
+                "1:78: recursion involving 'f' is not supported (all calls are inlined)"
+            );
+        }
+
+        #[test]
+        fn break_outside_loop_rejected() {
+            let e = rejection("int main() { break; return 0; }");
+            assert_eq!(e, "1:14: break/continue outside of a loop");
+        }
+
+        #[test]
+        fn continue_in_for_step_scope_allowed() {
+            compile_to_ir(
+                "int main() { for (int i = 0; i < 4; i++) { continue; } return 0; }",
+                "main",
+            )
+            .unwrap();
+        }
+
+        #[test]
+        fn void_return_with_value_rejected() {
+            let e = rejection("void f() { return 1; } int main() { return 0; }");
+            assert_eq!(e, "1:12: void function 'f' returns a value");
+        }
+
+        #[test]
+        fn nonvoid_bare_return_rejected() {
+            let e = rejection("int f() { return; } int main() { return 0; }");
+            assert_eq!(e, "1:11: non-void function 'f' returns without a value");
+        }
+
+        #[test]
+        fn duplicate_declaration_same_scope() {
+            let e = rejection("int main() { int x = 1; int x = 2; return x; }");
+            assert_eq!(e, "1:25: duplicate declaration of 'x' in the same scope");
+        }
+
+        #[test]
+        fn shadowing_in_inner_scope_allowed() {
+            compile_to_ir(
+                "int main() { int x = 1; { int x = 2; x = 3; } return x; }",
+                "main",
+            )
+            .unwrap();
+        }
+
+        #[test]
+        fn duplicate_global_rejected() {
+            let e = rejection("int a[2]; int a[3]; int main() { return 0; }");
+            assert_eq!(e, "1:11: duplicate global array 'a'");
+        }
+
+        #[test]
+        fn zero_length_array_rejected() {
+            let e = rejection("int main() { int a[0]; return 0; }");
+            assert_eq!(e, "1:14: array 'a' has zero length");
+        }
     }
 }

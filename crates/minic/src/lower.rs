@@ -1,15 +1,20 @@
 //! AST → three-address-code lowering with explicit CFG construction.
 //!
-//! Short-circuit `&&`/`||` and `?:` expand into control flow (new basic
-//! blocks), compound assignments were already desugared by the parser, and
-//! expressions are flattened into temporaries with local constant folding.
-//! Calls survive lowering as an internal high-level instruction; the
-//! [`crate::inline`] pass eliminates them before the IR is published.
+//! Lowering is also the front end's semantic check: it resolves every
+//! name on one scope stack and rejects ill-formed declarations, names,
+//! calls, `return`s and `break`/`continue`s as it meets them (the
+//! inliner rejects recursion). Short-circuit `&&`/`||` and `?:` expand
+//! into control flow (new basic blocks), compound assignments were
+//! already desugared by the parser, and expressions are flattened into
+//! temporaries with local constant folding. Calls survive lowering as an
+//! internal high-level instruction; the [`crate::inline`] pass eliminates
+//! them before the IR is published.
 
-use crate::ast::{self, BinOp, Expr, IntWidth, LValue, Stmt, UnOp};
+use crate::ast::{self, BinOp, Expr, LValue, Stmt, UnOp};
 use crate::ir::{
     ArrayRef, BlockIdx, GlobalArray, Instr, LocalArray, Operand, Terminator, VarId, VarInfo,
 };
+use crate::token::Span;
 use crate::CompileError;
 use amdrel_cdfg::hash::FixedMap;
 
@@ -21,6 +26,7 @@ pub(crate) enum HInstr {
         dst: Option<VarId>,
         callee: String,
         args: Vec<Operand>,
+        span: Span,
     },
 }
 
@@ -43,18 +49,67 @@ pub(crate) struct HFunction {
     pub vars: Vec<VarInfo>,
     pub arrays: Vec<LocalArray>,
     pub blocks: Vec<HBlock>,
-    #[allow(dead_code)] // kept for symmetry with the AST; useful to dumps
-    pub return_width: Option<IntWidth>,
 }
 
-/// Lower every function of `program` independently.
+/// Check `program`'s file-scope declarations, then lower every function
+/// in source order, whether or not `entry` reaches it.
 ///
-/// Also returns the shared global-array table (indices referenced by
-/// [`ArrayRef::Global`]).
+/// `entry` is the application root (usually `main`); it must exist and
+/// take no parameters. Also returns the shared global-array table
+/// (indices referenced by [`ArrayRef::Global`]).
+///
+/// # Errors
+///
+/// The first ill-formed declaration, name, call, `return` or
+/// `break`/`continue`, with its source span.
 pub(crate) fn lower_functions(
     program: &ast::Program,
+    entry: &str,
 ) -> Result<(Vec<GlobalArray>, Vec<HFunction>), CompileError> {
-    let globals: Vec<GlobalArray> = program
+    let mut global_index: FixedMap<&str, u32> = FixedMap::default();
+    for (i, g) in program.globals.iter().enumerate() {
+        if g.len == 0 {
+            return Err(CompileError::new(
+                format!("global array '{}' has zero length", g.name),
+                g.span,
+            ));
+        }
+        if global_index.insert(&g.name, i as u32).is_some() {
+            return Err(CompileError::new(
+                format!("duplicate global array '{}'", g.name),
+                g.span,
+            ));
+        }
+    }
+    let mut functions: FixedMap<&str, &ast::FunctionDef> = FixedMap::default();
+    for f in &program.functions {
+        if functions.insert(&f.name, f).is_some() {
+            return Err(CompileError::new(
+                format!("duplicate function '{}'", f.name),
+                f.span,
+            ));
+        }
+        if global_index.contains_key(f.name.as_str()) {
+            return Err(CompileError::new(
+                format!("'{}' is both a global array and a function", f.name),
+                f.span,
+            ));
+        }
+    }
+    let Some(root) = functions.get(entry) else {
+        return Err(CompileError::new(
+            format!("entry function '{entry}' not found"),
+            Span::default(),
+        ));
+    };
+    if !root.params.is_empty() {
+        return Err(CompileError::new(
+            format!("entry function '{entry}' must take no parameters"),
+            root.span,
+        ));
+    }
+
+    let globals = program
         .globals
         .iter()
         .map(|g| GlobalArray {
@@ -64,31 +119,28 @@ pub(crate) fn lower_functions(
             init: g.init.clone(),
         })
         .collect();
-    let global_index: FixedMap<&str, u32> = program
-        .globals
+    let functions = program
+        .functions
         .iter()
-        .enumerate()
-        .map(|(i, g)| (g.name.as_str(), i as u32))
-        .collect();
-
-    let mut functions = Vec::with_capacity(program.functions.len());
-    for f in &program.functions {
-        functions.push(FnLowerer::new(f, &global_index).run()?);
-    }
+        .map(|f| FnLowerer::new(f, &global_index, &functions).run())
+        .collect::<Result<_, _>>()?;
     Ok((globals, functions))
 }
 
+#[derive(Clone, Copy)]
 enum Binding {
     Scalar(VarId),
-    Array(u32),
+    Array(ArrayRef),
 }
 
 struct FnLowerer<'p> {
     def: &'p ast::FunctionDef,
     global_index: &'p FixedMap<&'p str, u32>,
+    functions: &'p FixedMap<&'p str, &'p ast::FunctionDef>,
     vars: Vec<VarInfo>,
     arrays: Vec<LocalArray>,
-    scopes: Vec<FixedMap<String, Binding>>,
+    /// Innermost scope last; the outermost holds only the parameters.
+    scopes: Vec<FixedMap<&'p str, Binding>>,
     blocks: Vec<HBlock>,
     current: BlockIdx,
     /// (continue target, break target) per enclosing loop.
@@ -97,10 +149,15 @@ struct FnLowerer<'p> {
 }
 
 impl<'p> FnLowerer<'p> {
-    fn new(def: &'p ast::FunctionDef, global_index: &'p FixedMap<&'p str, u32>) -> Self {
+    fn new(
+        def: &'p ast::FunctionDef,
+        global_index: &'p FixedMap<&'p str, u32>,
+        functions: &'p FixedMap<&'p str, &'p ast::FunctionDef>,
+    ) -> Self {
         FnLowerer {
             def,
             global_index,
+            functions,
             vars: Vec::new(),
             arrays: Vec::new(),
             scopes: vec![FixedMap::default()],
@@ -112,28 +169,28 @@ impl<'p> FnLowerer<'p> {
     }
 
     fn run(mut self) -> Result<HFunction, CompileError> {
-        let entry = self.new_block(format!("{}.entry", self.def.name));
+        let def = self.def;
+        let entry = self.new_block(format!("{}.entry", def.name));
         self.current = entry;
-        let mut params = Vec::with_capacity(self.def.params.len());
-        for (w, name) in &self.def.params {
+        let mut params = Vec::with_capacity(def.params.len());
+        for (w, name) in &def.params {
             let v = self.new_var(name.clone(), w.bits(), false);
-            self.declare(name.clone(), Binding::Scalar(v));
+            self.declare(name, Binding::Scalar(v), def.span)?;
             params.push(v);
         }
-        self.lower_body(&self.def.body)?;
+        self.lower_body(&def.body)?;
         // Fall-off-the-end: synthesize `return` / `return 0`.
-        let fallthrough = match self.def.return_width {
+        let fallthrough = match def.return_width {
             Some(_) => Terminator::Return(Some(Operand::Const(0))),
             None => Terminator::Return(None),
         };
         self.seal_current(fallthrough);
         Ok(HFunction {
-            name: self.def.name.clone(),
+            name: def.name.clone(),
             params,
             vars: self.vars,
             arrays: self.arrays,
             blocks: self.blocks,
-            return_width: self.def.return_width,
         })
     }
 
@@ -166,32 +223,101 @@ impl<'p> FnLowerer<'p> {
         self.new_var(format!("%t{n}"), bits, true)
     }
 
-    fn declare(&mut self, name: String, binding: Binding) {
+    /// Bind `name` in the innermost scope, rejecting a second binding
+    /// there; a clash in the outermost scope is a duplicate parameter.
+    fn declare(&mut self, name: &'p str, binding: Binding, span: Span) -> Result<(), CompileError> {
+        let depth = self.scopes.len();
+        let scope = self.scopes.last_mut().expect("scope stack never empty");
+        if scope.insert(name, binding).is_none() {
+            Ok(())
+        } else if depth == 1 {
+            Err(CompileError::new(
+                format!(
+                    "duplicate parameter '{name}' in function '{}'",
+                    self.def.name
+                ),
+                self.def.span,
+            ))
+        } else {
+            Err(CompileError::new(
+                format!("duplicate declaration of '{name}' in the same scope"),
+                span,
+            ))
+        }
+    }
+
+    /// Resolve `name`: the innermost scope first, then the global arrays.
+    fn lookup(&self, name: &str) -> Option<Binding> {
         self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name, binding);
+            .iter()
+            .rev()
+            .find_map(|s| s.get(name).copied())
+            .or_else(|| {
+                self.global_index
+                    .get(name)
+                    .map(|&g| Binding::Array(ArrayRef::Global(g)))
+            })
     }
 
-    fn lookup(&self, name: &str) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn array_ref(&self, name: &str, span: crate::token::Span) -> Result<ArrayRef, CompileError> {
+    /// The variable a scalar `name` is read from or, when `assigned`,
+    /// written to.
+    fn scalar(&self, name: &str, span: Span, assigned: bool) -> Result<VarId, CompileError> {
         match self.lookup(name) {
-            Some(Binding::Array(i)) => Ok(ArrayRef::Local(*i)),
+            Some(Binding::Scalar(v)) => Ok(v),
+            Some(Binding::Array(_)) if assigned => Err(CompileError::new(
+                format!("cannot assign to array '{name}' without an index"),
+                span,
+            )),
+            Some(Binding::Array(_)) => Err(CompileError::new(
+                format!("array '{name}' used as a scalar value"),
+                span,
+            )),
+            None => Err(CompileError::new(
+                format!("undeclared variable '{name}'"),
+                span,
+            )),
+        }
+    }
+
+    fn array_ref(&self, name: &str, span: Span) -> Result<ArrayRef, CompileError> {
+        match self.lookup(name) {
+            Some(Binding::Array(a)) => Ok(a),
             Some(Binding::Scalar(_)) => Err(CompileError::new(
                 format!("'{name}' is a scalar, not an array"),
                 span,
             )),
-            None => match self.global_index.get(name) {
-                Some(&g) => Ok(ArrayRef::Global(g)),
-                None => Err(CompileError::new(
-                    format!("undeclared array '{name}'"),
-                    span,
-                )),
-            },
+            None => Err(CompileError::new(
+                format!("undeclared array '{name}'"),
+                span,
+            )),
         }
+    }
+
+    /// Check that `callee` exists and takes `args.len()` arguments, then
+    /// lower the arguments left to right.
+    fn call_args(
+        &mut self,
+        callee: &str,
+        args: &'p [Expr],
+        span: Span,
+    ) -> Result<Vec<Operand>, CompileError> {
+        let Some(def) = self.functions.get(callee) else {
+            return Err(CompileError::new(
+                format!("call to undeclared function '{callee}'"),
+                span,
+            ));
+        };
+        if def.params.len() != args.len() {
+            return Err(CompileError::new(
+                format!(
+                    "function '{callee}' takes {} arguments, {} given",
+                    def.params.len(),
+                    args.len()
+                ),
+                span,
+            ));
+        }
+        args.iter().map(|a| self.lower_expr(a)).collect()
     }
 
     fn emit(&mut self, instr: HInstr) {
@@ -211,7 +337,7 @@ impl<'p> FnLowerer<'p> {
 
     // ---- statements -----------------------------------------------------
 
-    fn lower_body(&mut self, body: &[Stmt]) -> Result<(), CompileError> {
+    fn lower_body(&mut self, body: &'p [Stmt]) -> Result<(), CompileError> {
         self.scopes.push(FixedMap::default());
         for stmt in body {
             self.lower_stmt(stmt)?;
@@ -220,42 +346,45 @@ impl<'p> FnLowerer<'p> {
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
+    fn lower_stmt(&mut self, stmt: &'p Stmt) -> Result<(), CompileError> {
         match stmt {
             Stmt::Decl {
-                width, name, init, ..
+                width,
+                name,
+                init,
+                span,
             } => {
                 let v = self.new_var(name.clone(), width.bits(), false);
                 if let Some(init) = init {
                     self.lower_expr_into(init, v)?;
                 }
-                self.declare(name.clone(), Binding::Scalar(v));
-                Ok(())
+                self.declare(name, Binding::Scalar(v), *span)
             }
             Stmt::ArrayDecl {
-                width, name, len, ..
+                width,
+                name,
+                len,
+                span,
             } => {
-                let idx = self.arrays.len() as u32;
+                if *len == 0 {
+                    return Err(CompileError::new(
+                        format!("array '{name}' has zero length"),
+                        *span,
+                    ));
+                }
+                let local = ArrayRef::Local(self.arrays.len() as u32);
+                self.declare(name, Binding::Array(local), *span)?;
                 self.arrays.push(LocalArray {
                     name: name.clone(),
                     len: *len,
                     bits: width.bits(),
                 });
-                self.declare(name.clone(), Binding::Array(idx));
                 Ok(())
             }
             Stmt::Assign { target, value, .. } => {
                 match target {
                     LValue::Var { name, span } => {
-                        let dst = match self.lookup(name) {
-                            Some(Binding::Scalar(v)) => *v,
-                            _ => {
-                                return Err(CompileError::new(
-                                    format!("undeclared variable '{name}'"),
-                                    *span,
-                                ))
-                            }
-                        };
+                        let dst = self.scalar(name, *span, true)?;
                         self.lower_expr_into(value, dst)?;
                     }
                     LValue::Index { name, index, span } => {
@@ -381,10 +510,23 @@ impl<'p> FnLowerer<'p> {
                 self.current = exit_bb;
                 Ok(())
             }
-            Stmt::Return { value, .. } => {
-                let op = match value {
-                    Some(v) => Some(self.lower_expr(v)?),
-                    None => None,
+            Stmt::Return { value, span } => {
+                let name = &self.def.name;
+                let op = match (value, self.def.return_width) {
+                    (Some(_), None) => {
+                        return Err(CompileError::new(
+                            format!("void function '{name}' returns a value"),
+                            *span,
+                        ))
+                    }
+                    (None, Some(_)) => {
+                        return Err(CompileError::new(
+                            format!("non-void function '{name}' returns without a value"),
+                            *span,
+                        ))
+                    }
+                    (Some(v), Some(_)) => Some(self.lower_expr(v)?),
+                    (None, None) => None,
                 };
                 self.seal_current(Terminator::Return(op));
                 // Statements after a return are unreachable; give them a
@@ -394,34 +536,28 @@ impl<'p> FnLowerer<'p> {
                 self.current = dead;
                 Ok(())
             }
-            Stmt::Break { span } => {
-                let Some(&(_, exit_bb)) = self.loop_stack.last() else {
-                    return Err(CompileError::new("break outside of a loop", *span));
+            Stmt::Break { span } | Stmt::Continue { span } => {
+                let Some(&(cont_bb, exit_bb)) = self.loop_stack.last() else {
+                    return Err(CompileError::new("break/continue outside of a loop", *span));
                 };
-                self.seal_current(Terminator::Jump(exit_bb));
-                let dead = self.new_block("unreachable");
-                self.current = dead;
-                Ok(())
-            }
-            Stmt::Continue { span } => {
-                let Some(&(cont_bb, _)) = self.loop_stack.last() else {
-                    return Err(CompileError::new("continue outside of a loop", *span));
+                let target = if matches!(stmt, Stmt::Break { .. }) {
+                    exit_bb
+                } else {
+                    cont_bb
                 };
-                self.seal_current(Terminator::Jump(cont_bb));
+                self.seal_current(Terminator::Jump(target));
                 let dead = self.new_block("unreachable");
                 self.current = dead;
                 Ok(())
             }
             Stmt::ExprStmt { expr, .. } => {
-                if let Expr::Call { callee, args, .. } = expr {
-                    let args = args
-                        .iter()
-                        .map(|a| self.lower_expr(a))
-                        .collect::<Result<Vec<_>, _>>()?;
+                if let Expr::Call { callee, args, span } = expr {
+                    let args = self.call_args(callee, args, *span)?;
                     self.emit(HInstr::Call {
                         dst: None,
                         callee: callee.clone(),
                         args,
+                        span: *span,
                     });
                     Ok(())
                 } else {
@@ -440,7 +576,7 @@ impl<'p> FnLowerer<'p> {
     /// expression shape allows it (binary/unary/load/call), avoiding a
     /// temp + copy pair. Keeps DFG node labels attached to the source
     /// variable the programmer wrote.
-    fn lower_expr_into(&mut self, expr: &Expr, dst: VarId) -> Result<(), CompileError> {
+    fn lower_expr_into(&mut self, expr: &'p Expr, dst: VarId) -> Result<(), CompileError> {
         match expr {
             Expr::Binary { op, lhs, rhs, .. } => {
                 let l = self.lower_expr(lhs)?;
@@ -485,15 +621,13 @@ impl<'p> FnLowerer<'p> {
                 self.emit(HInstr::Real(Instr::Load { dst, array, index }));
                 Ok(())
             }
-            Expr::Call { callee, args, .. } => {
-                let args = args
-                    .iter()
-                    .map(|a| self.lower_expr(a))
-                    .collect::<Result<Vec<_>, _>>()?;
+            Expr::Call { callee, args, span } => {
+                let args = self.call_args(callee, args, *span)?;
                 self.emit(HInstr::Call {
                     dst: Some(dst),
                     callee: callee.clone(),
                     args,
+                    span: *span,
                 });
                 Ok(())
             }
@@ -505,16 +639,10 @@ impl<'p> FnLowerer<'p> {
         }
     }
 
-    fn lower_expr(&mut self, expr: &Expr) -> Result<Operand, CompileError> {
+    fn lower_expr(&mut self, expr: &'p Expr) -> Result<Operand, CompileError> {
         match expr {
             Expr::IntLit { value, .. } => Ok(Operand::Const(*value)),
-            Expr::Var { name, span } => match self.lookup(name) {
-                Some(Binding::Scalar(v)) => Ok(Operand::Var(*v)),
-                _ => Err(CompileError::new(
-                    format!("undeclared variable '{name}'"),
-                    *span,
-                )),
-            },
+            Expr::Var { name, span } => Ok(Operand::Var(self.scalar(name, *span, false)?)),
             Expr::Index { name, index, span } => {
                 let array = self.array_ref(name, *span)?;
                 let index = self.lower_expr(index)?;
@@ -648,16 +776,14 @@ impl<'p> FnLowerer<'p> {
                 self.current = join_bb;
                 Ok(Operand::Var(result))
             }
-            Expr::Call { callee, args, .. } => {
-                let args = args
-                    .iter()
-                    .map(|a| self.lower_expr(a))
-                    .collect::<Result<Vec<_>, _>>()?;
+            Expr::Call { callee, args, span } => {
+                let args = self.call_args(callee, args, *span)?;
                 let dst = self.new_temp(32);
                 self.emit(HInstr::Call {
                     dst: Some(dst),
                     callee: callee.clone(),
                     args,
+                    span: *span,
                 });
                 Ok(Operand::Var(dst))
             }
@@ -716,9 +842,7 @@ mod tests {
     use crate::parser::parse;
 
     fn lower_src(src: &str) -> (Vec<GlobalArray>, Vec<HFunction>) {
-        let ast = parse(&lex(src).unwrap()).unwrap();
-        crate::sema::check(&ast, "main").unwrap();
-        lower_functions(&ast).unwrap()
+        lower_functions(&parse(&lex(src).unwrap()).unwrap(), "main").unwrap()
     }
 
     #[test]

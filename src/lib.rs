@@ -18,7 +18,7 @@
 //! | crate | role |
 //! |-------|------|
 //! | [`cdfg`] | control-data-flow-graph IR, ASAP/ALAP, dominators, loops |
-//! | [`minic`] | C-subset frontend (lexer → parser → sema → IR → CDFG) |
+//! | [`minic`] | C-subset frontend (lexer → parser → lowering (names, scopes, calls, returns, loops) → inlining (no recursion) → CFG clean-up → CDFG) |
 //! | [`profiler`] | interpreter (dynamic analysis), weights, kernels |
 //! | [`finegrain`] | FPGA model + Figure 3 temporal partitioning |
 //! | [`coarsegrain`] | CGC datapath + list scheduling + binding |
