@@ -151,8 +151,8 @@ pub fn standard_mix(platform: &Platform) -> Result<Vec<AppProfile>, Box<dyn std:
 }
 
 /// Workload seed of the contention-aware exploration entry points
-/// (shared with `bench_report`, so explorations line up with the
-/// committed `BENCH_explore_contention.json` baseline).
+/// (shared with `amdrel_bench::baselines`, so explorations line up
+/// with the committed `BENCH_explore_contention.json` baseline).
 pub const CONTENTION_SEED: u64 = 42;
 /// Jobs per contention simulation.
 pub const CONTENTION_NJOBS: usize = 200;

@@ -84,8 +84,7 @@ fn sa_finds_an_exhaustive_optimum_with_fewer_evaluations() {
         exhaustive.format_table()
     );
 
-    // ... while doing measurably less work (these exact counts also feed
-    // the committed BENCH_explore.json baseline).
+    // ... while doing measurably less work.
     assert!(
         sa.stats.engine_runs < exhaustive.stats.engine_runs,
         "SA ran the engine {} times, exhaustive only {}",
@@ -127,49 +126,6 @@ fn random_sampling_on_ofdm_is_reasonable() {
         assert!(p.cycles <= p.initial_cycles);
         assert!(p.speedup() >= 1.0);
     }
-}
-
-/// Pre/post-refactor differential anchor: the exhaustive cycle optimum
-/// on the compiled OFDM workload (the exact configuration `bench_report`
-/// runs) equals the value committed in `BENCH_explore.json` *before*
-/// the N-objective generalisation — evidence the static 3-objective
-/// path stayed bit-identical through the refactor.
-#[test]
-fn exhaustive_optimum_matches_the_committed_prerefactor_baseline() {
-    let workload = ofdm::workload(2004);
-    let app = workload.analyze().unwrap();
-    let base = Platform::paper(1500, 2);
-    let cache = MappingCache::new();
-    let eval = Evaluator::new(
-        &workload.name,
-        &app.program.cdfg,
-        &app.analysis,
-        &base,
-        EnergyModel::default(),
-        &cache,
-    );
-    let report = explore(
-        &eval,
-        &ofdm::design_space(),
-        &Exhaustive,
-        &ExploreConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(
-        report.best_cycles().map(|p| p.cycles),
-        Some(86_010),
-        "exhaustive optimum drifted from the committed pre-refactor baseline"
-    );
-    assert_eq!(
-        report.objectives,
-        ["cycles", "area", "energy"],
-        "default objective vector changed"
-    );
-    assert_eq!(
-        report.frontier.len(),
-        3,
-        "frontier size per BENCH_explore.json"
-    );
 }
 
 #[test]

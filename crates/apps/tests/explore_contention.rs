@@ -3,8 +3,8 @@
 //! enabled contains at least one platform point the static 3-objective
 //! frontier does not — i.e. simulating multi-tenant load genuinely
 //! changes which platforms the methodology recommends. The same seeded
-//! configuration is what `bench_report` records in the committed
-//! `BENCH_explore_contention.json`.
+//! configuration is what `amdrel_bench::baselines` renders into the
+//! committed `BENCH_explore_contention.json`.
 
 use amdrel_apps::{ofdm, runtime as apps_runtime};
 use amdrel_core::{EnergyModel, MappingCache, Platform};

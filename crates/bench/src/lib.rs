@@ -1,13 +1,16 @@
-//! # amdrel-bench — shared workloads for the benchmark and the tests
+//! # amdrel-bench — shared workloads and the committed baselines
 //!
 //! The profiled paper applications ([`ofdm_prepared`],
 //! [`jpeg_small_prepared`]) and the synthetic tenant population
-//! ([`synthetic_tenants`]) that `perfbench`, the `bench_report` example
-//! and the workspace tests all build on, defined once so every caller
-//! measures or asserts against the same inputs. Timing lives only in
-//! `perfbench/`.
+//! ([`synthetic_tenants`]) that `perfbench`, the baselines and the
+//! workspace tests all build on, defined once so every caller measures
+//! or asserts against the same inputs. [`baselines`] renders the three
+//! committed `BENCH_*.json` files, the only code that computes or
+//! formats their fields. Timing lives only in `perfbench/`.
 
 #![warn(missing_docs)]
+
+pub mod baselines;
 
 use amdrel_apps::{jpeg, ofdm};
 use amdrel_core::Analyzed;
@@ -55,9 +58,10 @@ pub fn jpeg_small_prepared() -> Prepared {
 /// `n` synthetic tenant profiles for runtime scaling studies: varied
 /// service demands (2k–40k fine-grain cycles), priorities, partition
 /// footprints and communication costs, deterministic in `n`. Shared
-/// between `perfbench`'s runtime workloads, the `bench_report` example
-/// and `tests/determinism.rs`, so the committed `BENCH_runtime.json`
-/// scaling row and the benchmark play the same tenant population.
+/// between `perfbench`'s runtime workloads and
+/// [`baselines::bench_runtime`], so the committed `BENCH_runtime.json`
+/// scaling and sharded rows and the benchmark play the same tenant
+/// population.
 pub fn synthetic_tenants(n: usize) -> Vec<amdrel_runtime::AppProfile> {
     use amdrel_core::rng::SplitMix64;
 

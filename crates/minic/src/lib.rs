@@ -150,8 +150,15 @@ impl CompileError {
 }
 
 impl fmt::Display for CompileError {
+    /// `line:col: message`, or the bare message for an error no source
+    /// position locates (line 0, as lines are 1-based): a missing entry
+    /// function.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.span.line, self.span.col, self.message)
+        if self.span.line == 0 {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "{}:{}: {}", self.span.line, self.span.col, self.message)
+        }
     }
 }
 
@@ -167,6 +174,8 @@ mod tests {
         assert_traits::<CompileError>();
         let e = CompileError::new("boom", Span::new(0, 1, 3, 7));
         assert_eq!(e.to_string(), "3:7: boom");
+        let unplaced = CompileError::new("boom", Span::default());
+        assert_eq!(unplaced.to_string(), "boom");
     }
 
     #[test]
@@ -243,7 +252,7 @@ mod sema {
         #[test]
         fn missing_entry() {
             let e = rejection("int f() { return 0; }");
-            assert_eq!(e, "0:0: entry function 'main' not found");
+            assert_eq!(e, "entry function 'main' not found");
         }
 
         #[test]

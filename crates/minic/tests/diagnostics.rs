@@ -1,7 +1,7 @@
 //! Every way the front end rejects a program, pinned with its full
-//! `line:col: message`: lexer and parser errors, each semantic rule
-//! lowering and the inliner enforce, and which error wins when a program
-//! holds two.
+//! `line:col: message` (the bare message where no position applies):
+//! lexer and parser errors, each semantic rule lowering and the inliner
+//! enforce, and which error wins when a program holds two.
 
 use amdrel_minic::compile_to_ir;
 
@@ -44,9 +44,10 @@ const REJECTED: &[(&str, &str)] = &[
         "int f[4];\nint f() { return 1; }\nint main() { return 0; }",
         "2:1: 'f' is both a global array and a function",
     ),
+    // No position locates a missing entry, so none is printed.
     (
         "int Main() { return 0; }",
-        "0:0: entry function 'main' not found",
+        "entry function 'main' not found",
     ),
     (
         "int main(int a, int a) { return q; }",

@@ -5,9 +5,11 @@
 //! does not name.
 //!
 //! Sources are mini-C (see the `amdrel-minic` crate docs for the accepted
-//! subset); `--input` binds global arrays before profiling. `simulate`
-//! takes no source file — it plays a seeded multi-tenant workload of the
-//! built-in case studies through the runtime simulator.
+//! subset); `--input` binds global arrays before profiling. `dot` only
+//! compiles its source and prints the CDFG, so it never runs the program
+//! and takes no `--input`. `simulate` takes no source file — it plays a
+//! seeded multi-tenant workload of the built-in case studies through the
+//! runtime simulator.
 //!
 //! `explore --objectives` selects the minimised objective vector
 //! (default `cycles,area,energy`). Adding `p95` and/or `throughput`
@@ -162,10 +164,7 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
          — run the simulate workload and emit its deterministic event trace to \
          stdout (or FILE) instead of the report",
     ),
-    (
-        "dot",
-        "amdrel dot <src.c> [--block N] [--input name=v,v,..]...",
-    ),
+    ("dot", "amdrel dot <src.c> [--block N]"),
 ];
 
 fn usage_for(cmd: &str) -> Option<&'static str> {
@@ -631,9 +630,12 @@ fn fault_config(opts: &Options) -> (FaultSpec, RecoveryPolicy) {
     (faults, recovery)
 }
 
+fn read_source(opts: &Options) -> Result<String, String> {
+    std::fs::read_to_string(&opts.source_path).map_err(|e| format!("{}: {e}", opts.source_path))
+}
+
 fn analyzed(opts: &Options) -> Result<(amdrel_minic::CompiledProgram, AnalysisReport), String> {
-    let source = std::fs::read_to_string(&opts.source_path)
-        .map_err(|e| format!("{}: {e}", opts.source_path))?;
+    let source = read_source(opts)?;
     let inputs: Vec<(&str, &[i64])> = opts
         .inputs
         .iter()
@@ -1077,7 +1079,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         "dot" => {
-            let (program, _) = analyzed(&opts)?;
+            // The CDFG needs no profile: compile only, never interpret.
+            let program = compile(&read_source(&opts)?, "main").map_err(|e| e.to_string())?;
             match opts.block {
                 Some(b) => {
                     let id = BlockId(b);

@@ -484,7 +484,7 @@ fn malformed_flags_exit_nonzero_with_usage() {
 fn subcommands_refuse_flags_their_usage_does_not_name() {
     let src = write_source("fir_foreign_flag.c", FIR);
     let src = src.to_str().unwrap();
-    let cases: [(&[&str], &str); 20] = [
+    let cases: [(&[&str], &str); 21] = [
         (&["simulate", "--strategy", "bogus"], "--strategy"),
         (&["simulate", "--objectives", "cycles"], "--objectives"),
         (&["simulate", "--areas", "1500"], "--areas"),
@@ -508,6 +508,7 @@ fn subcommands_refuse_flags_their_usage_does_not_name() {
             "--json",
         ),
         (&["dot", src, "--top", "3"], "--top"),
+        (&["dot", src, "--input", "x=1"], "--input"),
     ];
     for (args, flag) in cases {
         let (ok, stdout, stderr) = amdrel(args);
@@ -1007,6 +1008,43 @@ fn dot_emits_graphviz() {
     let (ok, stdout, _) = amdrel(&["dot", src.to_str().unwrap(), "--block", "0"]);
     assert!(ok);
     assert!(stdout.starts_with("digraph"));
+    let out = Command::new(env!("CARGO_BIN_EXE_amdrel"))
+        .args(["dot", src.to_str().unwrap(), "--block", "999"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "{stderr}");
+    assert!(stderr.starts_with("error: no block bb999\n"), "{stderr}");
+}
+
+#[test]
+fn dot_compiles_without_running_the_program() {
+    // Both programs compile, but running them fails: one reads past its
+    // array, the other never halts. The CDFG needs no run.
+    for (name, body) in [
+        (
+            "dot_out_of_bounds.c",
+            "int a[4]; int main() { return a[9]; }",
+        ),
+        (
+            "dot_endless.c",
+            "int main() { int s = 0; while (1) { s = s + 1; } return s; }",
+        ),
+    ] {
+        let src = write_source(name, body);
+        let (ok, stdout, stderr) = amdrel(&["dot", src.to_str().unwrap()]);
+        assert!(ok, "{name}: {stderr}");
+        assert!(stdout.starts_with("digraph"), "{name}: {stdout}");
+    }
+    // A missing entry function has no source position to print.
+    let src = write_source("dot_no_main.c", "int f() { return 0; }");
+    let (ok, _, stderr) = amdrel(&["dot", src.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(
+        stderr.starts_with("error: entry function 'main' not found\n"),
+        "{stderr}"
+    );
 }
 
 #[test]
