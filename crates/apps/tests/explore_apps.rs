@@ -128,6 +128,28 @@ fn random_sampling_on_ofdm_is_reasonable() {
     }
 }
 
+/// Pre/post-refactor differential anchor: the exhaustive row of the
+/// committed `BENCH_explore.json` (the cycle optimum on the compiled
+/// OFDM workload and its frontier size, recorded before the N-objective
+/// generalisation) replays from library calls, evidence the static
+/// 3-objective path stayed bit-identical through the refactor.
+#[test]
+fn exhaustive_optimum_matches_the_committed_prerefactor_baseline() {
+    let bench = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_explore.json"
+    ))
+    .expect("committed BENCH_explore.json");
+    let row = amdrel_bench::baselines::explore_strategy_row(&Exhaustive);
+    assert!(
+        bench
+            .lines()
+            .any(|line| line.trim_start().trim_end_matches(',') == row),
+        "exhaustive optimum drifted from the committed pre-refactor baseline: \
+         BENCH_explore.json holds no row\n  {row}"
+    );
+}
+
 #[test]
 fn paper_configurations_sit_in_the_explored_space() {
     // The paper's four Table 2 cells are all members of the OFDM space,

@@ -2,9 +2,10 @@
 //! layer on the real case-study mix: an inert fault spec leaves every
 //! policy's report equal to the fault-free run's (the run
 //! `tests/determinism.rs` pins to the committed `BENCH_runtime.json`
-//! rows), and under live faults graceful degradation strictly beats
-//! abort-on-exhaustion on goodput and job loss while configuration
-//! affinity keeps its reconfiguration-stall advantage.
+//! rows), the faulted run behind the committed reliability row renders
+//! that line exactly, and under live faults graceful degradation
+//! strictly beats abort-on-exhaustion on goodput and job loss while
+//! configuration affinity keeps its reconfiguration-stall advantage.
 
 use amdrel_apps::runtime::standard_mix;
 use amdrel_core::Platform;
@@ -55,6 +56,21 @@ fn inert_fault_spec_matches_the_fault_free_run() {
         report.recovery = plain.recovery;
         assert_eq!(report, plain, "{name}");
     }
+}
+
+#[test]
+fn committed_reliability_row_replays_exactly() {
+    let bench = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_runtime.json"
+    ))
+    .expect("committed BENCH_runtime.json");
+    let row = amdrel_bench::baselines::runtime_reliability_row();
+    let committed = bench
+        .lines()
+        .find(|line| line.starts_with("  \"reliability\":"))
+        .expect("reliability row in BENCH_runtime.json");
+    assert_eq!(committed, row.trim_end_matches('\n'));
 }
 
 #[test]

@@ -59,7 +59,7 @@ pub fn jpeg_small_prepared() -> Prepared {
 /// service demands (2k–40k fine-grain cycles), priorities, partition
 /// footprints and communication costs, deterministic in `n`. Shared
 /// between `perfbench`'s runtime workloads and
-/// [`baselines::bench_runtime`], so the committed `BENCH_runtime.json`
+/// [`baselines::runtime_scaling_rows`], so the committed `BENCH_runtime.json`
 /// scaling and sharded rows and the benchmark play the same tenant
 /// population.
 pub fn synthetic_tenants(n: usize) -> Vec<amdrel_runtime::AppProfile> {
